@@ -14,9 +14,8 @@
 //      every accepted job must still complete.
 //   3. Pool convergence — a single submitter cycles jobs of three
 //      distinct machine widths (p = 16, 4, 2) through a one-slot pool.
-//      With the heterogeneous per-slot LRU cache (machines_per_slot
-//      auto) machines_built() stops growing after the first round; the
-//      legacy one-machine-per-slot mode rebuilds on every width switch.
+//      The slot keeps one warm machine per width, so machines_built()
+//      stops growing after the first round.
 //   4. Sampled tracing — the same closed loop run twice with a live
 //      tracer, once unsampled and once at the always-on production
 //      preset (kernel spans 1/16 via trace_sample_every): per-job
@@ -228,11 +227,9 @@ int main(int argc, char** argv) {
 
   // Experiment 3: machines_built() convergence under a mixed-width job
   // mix.  One slot, jobs cycling through three routed widths (512x256 ->
-  // p=16, 128x128 -> p=4, 97x97 -> p=2).  The heterogeneous per-slot LRU
-  // (machines_per_slot = 0, auto) keeps one warm machine per width, so
-  // the build count converges to 3 after the first round; the legacy
-  // one-machine-per-slot mode (machines_per_slot = 1) rebuilds on every
-  // width switch, so it climbs by 3 per round.
+  // p=16, 128x128 -> p=4, 97x97 -> p=2).  The slot keeps one warm
+  // machine per width, so the build count converges to 3 after the first
+  // round.
   std::printf("\nconvergence: 1 slot, width mix p={16,4,2}, 4 rounds\n");
   {
     const auto grey_wide = make_shape_grey(512, 256, 16, 31);
@@ -240,45 +237,37 @@ int main(int argc, char** argv) {
     const auto grey_odd = make_shape_grey(97, 97, 16, 41);
     constexpr int kRounds = 4;
 
-    for (const std::uint32_t machines_per_slot : {1u, 0u}) {
-      serve::PipelineOptions options;
-      options.pool_size = 1;
-      options.max_procs = 16;
-      options.machines_per_slot = machines_per_slot;
-      serve::Pipeline pipeline(options);
+    serve::PipelineOptions options;
+    options.pool_size = 1;
+    options.max_procs = 16;
+    serve::Pipeline pipeline(options);
 
-      std::uint64_t built_round1 = 0;
-      std::uint64_t ok = 0;
-      util::Timer timer;
-      for (int round = 0; round < kRounds; ++round) {
-        for (const auto* image : {&grey_wide, &grey_small, &grey_odd}) {
-          const auto result = pipeline.submit_histogram(*image, 16).result.get();
-          if (result.status == serve::JobStatus::kOk) ok++;
-        }
-        if (round == 0) built_round1 = pipeline.metrics().machines_built;
+    std::uint64_t built_round1 = 0;
+    std::uint64_t ok = 0;
+    util::Timer timer;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto* image : {&grey_wide, &grey_small, &grey_odd}) {
+        const auto result = pipeline.submit_histogram(*image, 16).result.get();
+        if (result.status == serve::JobStatus::kOk) ok++;
       }
-      const double wall_s = timer.seconds();
-      const auto metrics = pipeline.metrics();
-      const char* mode = machines_per_slot == 1 ? "legacy" : "lru-auto";
-      std::printf("  %-10s built after round 1: %llu, after round %d: %llu "
-                  "(%s)\n",
-                  mode, static_cast<unsigned long long>(built_round1), kRounds,
-                  static_cast<unsigned long long>(metrics.machines_built),
-                  metrics.machines_built == built_round1
-                      ? "converged"
-                      : "rebuilding every switch");
-      const auto total = static_cast<std::uint64_t>(kRounds) * 3;
-      json.add(std::string("convergence_") + mode, 16,
-               wall_s * 1e9 / static_cast<double>(total),
-               wall_s * 1e9 / static_cast<double>(total),
-               static_cast<double>(ok) / wall_s,
-               {{"machines_per_slot", static_cast<double>(machines_per_slot)},
-                {"rounds", static_cast<double>(kRounds)},
-                {"jobs_ok", static_cast<double>(ok)},
-                {"machines_built_round1", static_cast<double>(built_round1)},
-                {"machines_built_final",
-                 static_cast<double>(metrics.machines_built)}});
+      if (round == 0) built_round1 = pipeline.metrics().machines_built;
     }
+    const double wall_s = timer.seconds();
+    const auto metrics = pipeline.metrics();
+    std::printf("  built after round 1: %llu, after round %d: %llu (%s)\n",
+                static_cast<unsigned long long>(built_round1), kRounds,
+                static_cast<unsigned long long>(metrics.machines_built),
+                metrics.machines_built == built_round1 ? "converged"
+                                                       : "still building");
+    const auto total = static_cast<std::uint64_t>(kRounds) * 3;
+    json.add("convergence", 16, wall_s * 1e9 / static_cast<double>(total),
+             wall_s * 1e9 / static_cast<double>(total),
+             static_cast<double>(ok) / wall_s,
+             {{"rounds", static_cast<double>(kRounds)},
+              {"jobs_ok", static_cast<double>(ok)},
+              {"machines_built_round1", static_cast<double>(built_round1)},
+              {"machines_built_final",
+               static_cast<double>(metrics.machines_built)}});
   }
 
   // Experiment 4: sampled tracing.  The pool-2 closed loop runs twice

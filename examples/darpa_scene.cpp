@@ -1,13 +1,14 @@
 // The paper's headline workload: connected components of a 512 x 512
 // 256-grey-level DARPA Image Understanding Benchmark-style scene
-// (Section 6, Figure 10), plus its histogram, with per-phase timing and
-// the modeled cost on every machine the paper evaluated.  Optionally
-// writes the scene (PGM) and a false-colour labeling (PPM).
+// (Section 6, Figure 10), plus its histogram, with the per-phase trace
+// report and the modeled cost on every machine the paper evaluated.
+// Optionally writes the scene (PGM) and a false-colour labeling (PPM).
 //
 //   ./darpa_scene [n] [p] [--write]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 
 #include "histcc/histcc.hpp"
 
@@ -21,40 +22,35 @@ int main(int argc, char** argv) {
               n, n, p);
   const auto scene = img::make_darpa_like(n);
 
+  trace::Tracer phase_tracer;
   splitc::Machine machine(p);
+  // Per-phase times come from the trace spans: the HISTCC_TRACE tracer
+  // when one is requested, else a local one.
+  machine.set_trace(trace::env_tracer());
+  if (machine.tracer() == nullptr) machine.set_trace(&phase_tracer);
   const img::TileLayout layout(n, p);
   splitc::Spread<std::uint8_t> tiles(machine, layout.tile_sizes(),
                                      "scene_tiles");
   layout.scatter(scene, tiles);
 
-  hist::HistPhases hist_phases;
-  const auto counts =
-      hist::histogram_parallel(machine, layout, tiles, 256, &hist_phases);
+  const auto counts = hist::histogram_parallel(machine, layout, tiles, 256);
   std::size_t used_levels = 0;
   for (const auto c : counts) used_levels += c != 0;
-  std::printf("histogram: %zu of 256 levels used; phases: tally %.3f ms, "
-              "transpose %.3f ms, combine %.3f ms, gather %.3f ms\n",
-              used_levels, hist_phases.tally_s * 1e3,
-              hist_phases.transpose_s * 1e3, hist_phases.combine_s * 1e3,
-              hist_phases.gather_s * 1e3);
+  std::printf("histogram: %zu of 256 levels used\n", used_levels);
 
   cc::CcOptions options;
   options.rule = ccseq::ColourRule::kSameColour;
-  cc::CcPhases cc_phases;
   util::Timer timer;
-  auto labels = cc::connected_components_parallel(machine, layout, tiles,
-                                                  options, &cc_phases);
+  auto labels =
+      cc::connected_components_parallel(machine, layout, tiles, options);
   const double wall = timer.seconds();
 
   auto sizes = ccseq::component_sizes(labels);
   std::printf("connected components: %zu components in %.3f ms wall "
-              "(%u merge phases)\n",
-              sizes.size(), wall * 1e3, cc_phases.merge_phases);
-  std::printf("  phases: init %.3f ms, border %.3f ms, graph %.3f ms, "
-              "update %.3f ms, final %.3f ms\n",
-              cc_phases.init_s * 1e3, cc_phases.border_s * 1e3,
-              cc_phases.graph_s * 1e3, cc_phases.update_s * 1e3,
-              cc_phases.final_s * 1e3);
+              "(%zu merge phases)\n",
+              sizes.size(), wall * 1e3,
+              cc::merge_schedule({layout.grid_rows(), layout.grid_cols()})
+                  .size());
   std::printf("  largest components (px):");
   for (std::size_t i = 0; i < sizes.size() && i < 5; ++i) {
     std::printf(" %llu", static_cast<unsigned long long>(sizes[i].pixels));
@@ -76,6 +72,8 @@ int main(int argc, char** argv) {
                  stats.modeled_comp_seconds(prof)) *
                     1e3);
   }
+
+  trace::write_phase_report(*machine.tracer(), splitc::host(), std::cout);
 
   if (write) {
     img::write_pgm_file("darpa_scene.pgm", scene);

@@ -4,6 +4,7 @@ namespace histcc::ccseq {
 
 img::LabelImage label_components_bfs(const img::GreyImage& image,
                                      Connectivity conn, ColourRule rule) {
+  img::require_labelable(image.height(), image.width());
   img::LabelImage labels(image.height(), image.width());
   if (image.empty()) return labels;
   BfsScratch scratch;

@@ -7,6 +7,7 @@ img::LabelImage label_components_unionfind(const img::GreyImage& image,
                                            ColourRule rule) {
   const std::uint32_t rows = image.height();
   const std::uint32_t cols = image.width();
+  img::require_labelable(rows, cols);
   img::LabelImage labels(rows, cols);
   if (image.empty()) return labels;
 

@@ -10,7 +10,8 @@
 /// and unchecked accessors.  `GreyImage` (8-bit pixels) holds inputs;
 /// `LabelImage` (32-bit) holds connected-component labelings — initial
 /// labels are (I*q + i)*n + (J*r + j) + 1 <= n^2, which fits 32 bits for
-/// every image size the paper uses (n <= 4096).
+/// every image size the paper uses (n <= 4096); require_labelable rejects
+/// the shapes where it would not.
 
 #include <cstdint>
 #include <span>
@@ -79,6 +80,15 @@ using GreyImage = Image<std::uint8_t>;
 
 /// 32-bit component labeling (0 = background label).
 using LabelImage = Image<std::uint32_t>;
+
+/// Labels are 1 + a row-major pixel index, so the largest is H * W: a
+/// labeled image needs H * W < 2^32, or its last label wraps to 0, the
+/// background label.
+inline void require_labelable(std::uint32_t height, std::uint32_t width) {
+  HISTCC_REQUIRE(static_cast<std::uint64_t>(height) * width <
+                     (std::uint64_t{1} << 32),
+                 "image must have fewer than 2^32 pixels (32-bit labels)");
+}
 
 }  // namespace histcc::img
 

@@ -58,15 +58,17 @@ namespace histcc::img {
 class TileLayout {
  public:
   /// \param height image rows (> 0); \param width image columns (> 0);
-  /// \param p processor count (power of two).  Any rectangular shape is
-  /// accepted; edge tiles shrink (possibly to empty) instead of the
-  /// paper's divisibility requirement.
+  /// \param p processor count (power of two).  Any rectangular shape with
+  /// H * W < 2^32 is accepted (initial_label is 32-bit and would wrap to
+  /// the background label 0); edge tiles shrink (possibly to empty)
+  /// instead of the paper's divisibility requirement.
   // NOLINTNEXTLINE(bugprone-easily-swappable-parameters): (height, width,
   // p) is the fixed problem-size order used across the library; the
   // definition never combines them in one expression.
   TileLayout(std::uint32_t height, std::uint32_t width, std::uint32_t p)
       : height_(height), width_(width), p_(p), grid_(util::grid_shape(p)) {
     HISTCC_REQUIRE(height > 0 && width > 0, "image must be non-empty");
+    require_labelable(height, width);
     HISTCC_REQUIRE(util::is_pow2(p), "processor count must be a power of two");
     qmax_ = util::ceil_div(height, grid_.rows);
     rmax_ = util::ceil_div(width, grid_.cols);

@@ -4,22 +4,17 @@
 /// \file machine_pool.hpp
 /// A pool of persistent, reusable SPMD machines.
 ///
-/// Every `Machine` here is built in WorkerMode::kPersistent: its p worker
-/// threads are spawned once and parked between jobs, so consecutive jobs
-/// on a slot pay a condition-variable wakeup instead of p thread
-/// creations.  acquire(p) hands out an idle slot as a RAII lease,
+/// Every `Machine` keeps its p worker threads parked between runs, so
+/// consecutive jobs on a slot pay a condition-variable wakeup instead of p
+/// thread creations.  acquire(p) hands out an idle slot as a RAII lease,
 /// preferring a slot that already holds a machine of the requested size.
-/// Each slot keeps a small cache of warm machines, one per distinct
-/// virtual-processor count, up to `machines_per_slot` entries with the
-/// least-recently-used machine evicted when a new size needs room — so
-/// under a mixed-width job mix a slot serves every recurring width
-/// without rebuilding (size-heterogeneous mode).  machines_per_slot == 1
-/// reproduces the original one-machine-per-slot behaviour exactly.
-/// machines_built() counts every construction, first builds and rebuilds
-/// alike, so tests and benchmarks can assert that a steady workload stops
-/// churning.  When every slot is busy, acquire blocks — the pool is the
-/// concurrency limiter; the bounded JobQueue in front of it is the memory
-/// limiter.
+/// Each slot keeps at most one warm machine per power-of-two width up to
+/// `max_procs`, built on first use and never evicted — so under a
+/// mixed-width job mix a slot serves every recurring width without
+/// rebuilding.  machines_built() counts every construction, so tests and
+/// benchmarks can assert that a steady workload stops building.  When
+/// every slot is busy, acquire blocks — the pool is the concurrency
+/// limiter; the bounded JobQueue in front of it is the memory limiter.
 
 #include <condition_variable>
 #include <cstdint>
@@ -34,18 +29,15 @@ namespace histcc::serve {
 
 class MachinePool {
  public:
-  /// \param slots             concurrently leasable machines (>= 1).
-  /// \param max_procs         largest virtual-processor count a lease may
-  ///                          ask for (power of two).
-  /// \param machines_per_slot warm machines each slot caches (>= 1), one
-  ///                          per distinct size, LRU-evicted.
-  /// \param spread_layout     allocation mode every pooled machine is
-  ///                          built with (packed by default; strided is
-  ///                          the differential oracle).
+  /// \param slots         concurrently leasable machines (>= 1).
+  /// \param max_procs     largest virtual-processor count a lease may ask
+  ///                      for (power of two).
+  /// \param spread_layout allocation mode every pooled machine is built
+  ///                      with (packed by default; strided is the
+  ///                      differential oracle).
   // NOLINTNEXTLINE(bugprone-easily-swappable-parameters): declaration-only;
-  // the definition checks the three independently (no joint expression).
+  // the definition checks the two independently (no joint expression).
   MachinePool(std::uint32_t slots, std::uint32_t max_procs,
-              std::uint32_t machines_per_slot = 1,
               splitc::SpreadLayout spread_layout =
                   splitc::SpreadLayout::kPacked);
 
@@ -92,30 +84,22 @@ class MachinePool {
     return static_cast<std::uint32_t>(slots_.size());
   }
   [[nodiscard]] std::uint32_t max_procs() const noexcept { return max_procs_; }
-  [[nodiscard]] std::uint32_t machines_per_slot() const noexcept {
-    return machines_per_slot_;
-  }
   /// Allocation mode pooled machines are built with.
   [[nodiscard]] splitc::SpreadLayout spread_layout() const noexcept {
     return spread_layout_;
   }
 
-  /// Machines constructed so far, first builds and rebuilds alike.  A
-  /// steady workload converges: once every slot holds the sizes the mix
-  /// needs, this stops moving.
+  /// Machines constructed so far.  A steady workload converges: once every
+  /// slot holds the sizes the mix needs, this stops moving.
   [[nodiscard]] std::uint64_t machines_built() const;
 
   /// Slots not currently leased.
   [[nodiscard]] std::uint32_t idle() const;
 
  private:
-  /// One cached warm machine and its LRU stamp.
-  struct Entry {
-    std::unique_ptr<splitc::Machine> machine;
-    std::uint64_t last_used = 0;
-  };
   struct Slot {
-    std::vector<Entry> cache;  ///< distinct sizes, <= machines_per_slot_
+    /// Warm machines indexed by log2(procs); null until first leased.
+    std::vector<std::unique_ptr<splitc::Machine>> machines;
     bool busy = false;
   };
 
@@ -125,10 +109,8 @@ class MachinePool {
   std::condition_variable slot_free_;
   std::vector<Slot> slots_;
   std::uint32_t max_procs_;
-  std::uint32_t machines_per_slot_;
   splitc::SpreadLayout spread_layout_;
   std::uint64_t built_ = 0;
-  std::uint64_t tick_ = 0;  ///< LRU clock, bumped per acquire
 };
 
 }  // namespace histcc::serve

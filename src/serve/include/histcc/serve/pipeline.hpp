@@ -4,7 +4,9 @@
 /// \file pipeline.hpp
 /// The multi-tenant job pipeline over the SPMD runtime: many independent
 /// images in flight at once, served by a MachinePool of warm machines
-/// behind a bounded JobQueue.
+/// behind a bounded JobQueue.  Each pool slot keeps one machine per
+/// power-of-two width up to max_procs, so once every width a job mix uses
+/// has been seen, no job pays for building a machine.
 ///
 ///   submit_* (any thread)          pool workers (pool_size threads)
 ///   ───────────────────────        ──────────────────────────────────
@@ -62,11 +64,6 @@ struct PipelineOptions {
   std::uint32_t grain_pixels = 64 * 64;
   /// Images with at most this many pixels run the sequential path.
   std::uint32_t sequential_pixels = 64 * 64;
-  /// Warm machines cached per pool slot (one per distinct processor
-  /// count, LRU-evicted).  0 = auto: enough for every power-of-two width
-  /// up to max_procs, so a mixed-width job mix stops rebuilding once each
-  /// width has been seen.  1 = the original one-machine-per-slot mode.
-  std::uint32_t machines_per_slot = 0;
   /// Allocation mode for Spreads on the pooled machines (docs/layout.md).
   /// Packed reclaims the ragged-layout padding; strided is the
   /// differential oracle the tests compare against.

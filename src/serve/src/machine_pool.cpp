@@ -1,83 +1,48 @@
 #include "histcc/serve/machine_pool.hpp"
 
-#include <algorithm>
-
 #include "histcc/util/math.hpp"
 #include "histcc/util/require.hpp"
 
 namespace histcc::serve {
 
 MachinePool::MachinePool(std::uint32_t slots, std::uint32_t max_procs,
-                         std::uint32_t machines_per_slot,
                          splitc::SpreadLayout spread_layout)
-    : slots_(slots), max_procs_(max_procs),
-      machines_per_slot_(machines_per_slot),
-      spread_layout_(spread_layout) {
+    : slots_(slots), max_procs_(max_procs), spread_layout_(spread_layout) {
   HISTCC_REQUIRE(slots >= 1, "pool needs at least one slot");
   HISTCC_REQUIRE(max_procs >= 1 && util::is_pow2(max_procs),
                  "max_procs must be a power of two");
-  HISTCC_REQUIRE(machines_per_slot >= 1,
-                 "each slot caches at least one machine");
+  for (Slot& slot : slots_) {
+    slot.machines.resize(util::log2_exact(max_procs) + 1);
+  }
 }
 
 MachinePool::Lease MachinePool::acquire(std::uint32_t procs) {
   HISTCC_REQUIRE(procs >= 1 && util::is_pow2(procs) && procs <= max_procs_,
                  "lease size must be a power of two within max_procs");
+  const unsigned width = util::log2_exact(procs);
   std::unique_lock lock(mutex_);
   for (;;) {
-    // Best idle slot: one already caching an exact-size machine beats one
-    // with spare cache room beats one that must evict its LRU entry.
+    // Best idle slot: one already holding a machine of this width, else
+    // the first idle one.
     std::size_t chosen = slots_.size();
-    bool chosen_exact = false;
-    bool chosen_spare = false;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const Slot& slot = slots_[i];
-      if (slot.busy) continue;
-      const bool exact = std::any_of(
-          slot.cache.begin(), slot.cache.end(), [&](const Entry& e) {
-            return e.machine->nprocs() == procs;
-          });
-      if (exact) {
+      if (slots_[i].busy) continue;
+      if (slots_[i].machines[width]) {
         chosen = i;
-        chosen_exact = true;
         break;
       }
-      const bool spare = slot.cache.size() < machines_per_slot_;
-      if (chosen == slots_.size() || (spare && !chosen_spare)) {
-        chosen = i;
-        chosen_spare = spare;
-      }
+      if (chosen == slots_.size()) chosen = i;
     }
     if (chosen < slots_.size()) {
       Slot& slot = slots_[chosen];
-      Entry* entry = nullptr;
-      if (chosen_exact) {
-        for (Entry& e : slot.cache) {
-          if (e.machine->nprocs() == procs) {
-            entry = &e;
-            break;
-          }
-        }
-      } else if (slot.cache.size() < machines_per_slot_) {
-        entry = &slot.cache.emplace_back();
-      } else {
-        // Evict the least-recently-used size to make room.
-        entry = &*std::min_element(
-            slot.cache.begin(), slot.cache.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.last_used < b.last_used;
-            });
-        entry->machine.reset();
-      }
-      if (!entry->machine) {
-        entry->machine = std::make_unique<splitc::Machine>(
-            procs, splitc::WorkerMode::kPersistent);
-        entry->machine->set_spread_layout(spread_layout_);
+      auto& machine = slot.machines[width];
+      if (!machine) {
+        machine = std::make_unique<splitc::Machine>(procs);
+        machine->set_spread_layout(spread_layout_);
         built_ += 1;
       }
-      entry->last_used = ++tick_;
       slot.busy = true;
-      return Lease(this, chosen, entry->machine.get());
+      return Lease(this, chosen, machine.get());
     }
     slot_free_.wait(lock);
   }

@@ -12,7 +12,6 @@
 #include "histcc/image/layout.hpp"
 #include "histcc/splitc/spread.hpp"
 #include "histcc/trace/trace.hpp"
-#include "histcc/util/math.hpp"
 
 namespace histcc::serve {
 
@@ -103,20 +102,9 @@ struct Pipeline::QueuedJob {
       finish;  ///< (status, error, procs_used, queue_s, run_s)
 };
 
-namespace {
-
-/// 0 = auto: one cached machine per power-of-two width in [1, max_procs].
-std::uint32_t resolve_machines_per_slot(const PipelineOptions& options) {
-  if (options.machines_per_slot > 0) return options.machines_per_slot;
-  return util::log2_floor(std::max(1u, options.max_procs)) + 1;
-}
-
-}  // namespace
-
 Pipeline::Pipeline(PipelineOptions options)
     : options_(std::move(options)),
-      pool_(options_.pool_size, options_.max_procs,
-            resolve_machines_per_slot(options_), options_.spread_layout),
+      pool_(options_.pool_size, options_.max_procs, options_.spread_layout),
       queue_(std::make_unique<JobQueue<QueuedJob>>(options_.queue_capacity)) {
   tracer_ = options_.trace != nullptr ? options_.trace : trace::env_tracer();
   if (tracer_ != nullptr && options_.trace_sample_every > 1) {

@@ -7,7 +7,8 @@
 /// The paper's algorithms are written in Split-C, an SPMD dialect of C with
 /// a global address space over distributed local memories.  `Machine`
 /// reproduces that programming model on a single host: it runs `p` virtual
-/// processors as OS threads, gives each a `Proc` handle carrying its rank,
+/// processors as OS threads that live as long as the machine (parked
+/// between programs), gives each a `Proc` handle carrying its rank,
 /// logical grid position (Section 3 of the paper), barrier, and a BDM
 /// communication ledger.  Remote data is reached through `Spread` arrays
 /// (spread.hpp), whose split-phase transfers mirror Split-C's `:=` /
@@ -50,20 +51,6 @@ enum class LedgerMode : std::uint8_t;
 enum class RacePolicy : std::uint8_t {
   kThrow,   ///< rethrow as RaceLedgerViolation after the program finishes
   kRecord,  ///< only record; inspect via Machine::race_ledger_registry()
-};
-
-/// How Machine::run provides its p threads.
-enum class WorkerMode : std::uint8_t {
-  /// Spawn p OS threads per run() and join them before returning — the
-  /// historical behaviour, cheapest for a machine that runs one program.
-  kPerRun,
-  /// Spawn p worker threads on the first run() and park them on a
-  /// condition variable between programs; run() hands the program to the
-  /// warm workers.  This is what a serving pool wants: consecutive jobs
-  /// on the same machine pay a wakeup, not p thread creations
-  /// (histcc/serve/machine_pool.hpp).  Observable behaviour of run() is
-  /// identical in both modes.
-  kPersistent,
 };
 
 /// How Spread/SpreadVec size the per-rank blocks of layout-driven arrays
@@ -179,14 +166,15 @@ class Proc {
 
 /// A virtual distributed-memory machine with p processors (p a power of
 /// two, as the paper assumes).  Construct once, `run` any number of SPMD
-/// programs on it.
+/// programs on it.  Like the paper's Split-C processors, the p worker
+/// threads live as long as the machine: they are spawned by the first
+/// run(), parked on a condition variable between programs, and joined by
+/// the destructor, so consecutive runs pay a wakeup rather than p thread
+/// creations.  A 1-processor machine runs its program inline.
 class Machine {
  public:
   /// \param nprocs number of virtual processors; must be a power of two.
-  /// \param mode   per-run thread spawning (default) or warm persistent
-  ///               workers (see WorkerMode).
-  explicit Machine(std::uint32_t nprocs,
-                   WorkerMode mode = WorkerMode::kPerRun);
+  explicit Machine(std::uint32_t nprocs);
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -194,16 +182,14 @@ class Machine {
 
   [[nodiscard]] std::uint32_t nprocs() const noexcept { return nprocs_; }
 
-  [[nodiscard]] WorkerMode worker_mode() const noexcept { return mode_; }
-
   /// Logical processor grid shape (Section 3): v = 2^floor(d/2) rows,
   /// w = 2^ceil(d/2) columns for p = 2^d.
   [[nodiscard]] util::GridShape grid() const noexcept { return grid_; }
 
   /// Execute `program` in SPMD style: p threads each call program(proc)
   /// with their own Proc.  Blocks until all processors finish.  If any
-  /// processor throws, the first exception is rethrown here after all
-  /// threads have been joined.  Not reentrant.
+  /// processor throws, the first exception is rethrown here after every
+  /// processor has left the program.  Not reentrant.
   void run(const std::function<void(Proc&)>& program);
 
   /// Communication ledger of processor `rank` from the last run().
@@ -328,12 +314,10 @@ class Machine {
   /// Per-rank perturbation stream derived from the machine seed (0 = off).
   [[nodiscard]] std::uint64_t perturb_state_for(
       std::uint32_t rank) const noexcept;
-  void run_per_run(const std::function<void(Proc&)>& program);
-  void run_persistent(const std::function<void(Proc&)>& program);
+  void dispatch(const std::function<void(Proc&)>& program);
   void execute_as(std::uint32_t rank,
                   const std::function<void(Proc&)>& program);
   void start_workers();
-  void stop_workers() noexcept;
 
   std::uint32_t nprocs_;
   util::GridShape grid_;
@@ -350,14 +334,13 @@ class Machine {
   std::uint64_t perturb_seed_ = 0;
   bool running_ = false;
 
-  // First exception thrown by any rank in the current run (both modes).
+  // First exception thrown by any rank in the current run.
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
 
-  // Persistent-worker state: workers park on ctl_cv_ until job_generation_
-  // advances, execute job_program_, then decrement job_remaining_ (the
-  // last one signals done_cv_).  All guarded by ctl_mutex_.
-  WorkerMode mode_;
+  // Worker state: workers park on ctl_cv_ until job_generation_ advances,
+  // execute job_program_, then decrement job_remaining_ (the last one
+  // signals done_cv_).  All guarded by ctl_mutex_.
   std::vector<std::thread> workers_;
   std::mutex ctl_mutex_;
   std::condition_variable ctl_cv_;

@@ -51,13 +51,12 @@ void Proc::barrier() {
   epoch_ += 1;
 }
 
-Machine::Machine(std::uint32_t nprocs, WorkerMode mode)
+Machine::Machine(std::uint32_t nprocs)
     : nprocs_(nprocs),
       grid_(util::GridShape{1, 1}),
       barrier_(nprocs),
       stats_(nprocs),
-      served_(std::make_unique<std::atomic<std::uint64_t>[]>(nprocs)),
-      mode_(mode) {
+      served_(std::make_unique<std::atomic<std::uint64_t>[]>(nprocs)) {
   HISTCC_REQUIRE(nprocs >= 1 && util::is_pow2(nprocs),
                  "processor count must be a power of two");
   grid_ = util::grid_shape(nprocs);
@@ -76,7 +75,14 @@ Machine::Machine(std::uint32_t nprocs, WorkerMode mode)
   reset_stats();
 }
 
-Machine::~Machine() { stop_workers(); }
+Machine::~Machine() {
+  {
+    std::scoped_lock lock(ctl_mutex_);
+    workers_stop_ = true;
+    ctl_cv_.notify_all();
+  }
+  for (auto& t : workers_) t.join();
+}
 
 void Machine::set_spread_layout(SpreadLayout layout) {
   HISTCC_REQUIRE(!running_, "cannot switch spread layout mid-run");
@@ -122,17 +128,7 @@ void Machine::execute_as(std::uint32_t rank,
   }
 }
 
-void Machine::run_per_run(const std::function<void(Proc&)>& program) {
-  std::vector<std::thread> threads;
-  threads.reserve(nprocs_);
-  for (std::uint32_t rank = 0; rank < nprocs_; ++rank) {
-    threads.emplace_back([&, rank] { execute_as(rank, program); });
-  }
-  for (auto& t : threads) t.join();
-}
-
 void Machine::start_workers() {
-  if (!workers_.empty()) return;
   workers_.reserve(nprocs_);
   for (std::uint32_t rank = 0; rank < nprocs_; ++rank) {
     workers_.emplace_back([this, rank] {
@@ -158,19 +154,8 @@ void Machine::start_workers() {
   }
 }
 
-void Machine::stop_workers() noexcept {
-  {
-    std::scoped_lock lock(ctl_mutex_);
-    workers_stop_ = true;
-    ctl_cv_.notify_all();
-  }
-  for (auto& t : workers_) t.join();
-  workers_.clear();
-  workers_stop_ = false;
-}
-
-void Machine::run_persistent(const std::function<void(Proc&)>& program) {
-  start_workers();
+void Machine::dispatch(const std::function<void(Proc&)>& program) {
+  if (workers_.empty()) start_workers();
   std::unique_lock lock(ctl_mutex_);
   job_program_ = &program;
   job_remaining_ = nprocs_;
@@ -212,11 +197,7 @@ void Machine::run(const std::function<void(Proc&)>& program) {
     return;
   }
 
-  if (mode_ == WorkerMode::kPersistent) {
-    run_persistent(program);
-  } else {
-    run_per_run(program);
-  }
+  dispatch(program);
   std::exception_ptr error;
   {
     std::scoped_lock lock(error_mutex_);

@@ -2,9 +2,9 @@
 #define HISTCC_UTIL_TIMER_HPP
 
 /// \file timer.hpp
-/// Monotonic wall-clock timer used by the benchmark harness to report the
-/// per-phase execution times the paper plots (computation time vs
-/// communication time).
+/// Monotonic wall-clock stopwatch for the benchmarks and examples.  Phase
+/// times inside the parallel kernels come from trace spans
+/// (histcc/trace/trace.hpp), not from this timer.
 
 #include <chrono>
 #include <cstdint>
@@ -37,24 +37,6 @@ class Timer {
 
  private:
   clock::time_point start_;
-};
-
-/// Accumulates time across start/stop intervals; used to split an
-/// algorithm's run into the paper's Tcomp / Tcomm buckets.
-class PhaseTimer {
- public:
-  using clock = std::chrono::steady_clock;
-
-  void start() noexcept { mark_ = clock::now(); }
-  void stop() noexcept {
-    total_ += std::chrono::duration<double>(clock::now() - mark_).count();
-  }
-  [[nodiscard]] double seconds() const noexcept { return total_; }
-  void reset() noexcept { total_ = 0.0; }
-
- private:
-  clock::time_point mark_{};
-  double total_ = 0.0;
 };
 
 }  // namespace histcc::util

@@ -4,16 +4,21 @@
 // colour rules, and all option ablations.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string_view>
+
 #include "histcc/cc/parallel_cc.hpp"
 #include "histcc/cc_seq/analysis.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/splitc/machine.hpp"
+#include "histcc/trace/trace.hpp"
 
 namespace cc = histcc::cc;
 namespace cs = histcc::ccseq;
 namespace im = histcc::img;
 namespace sc = histcc::splitc;
+namespace tr = histcc::trace;
 
 namespace {
 
@@ -166,15 +171,21 @@ TEST(CcParallelTest, LargerImageAt32Procs) {
 }
 
 TEST(CcParallelTest, PhasesReported) {
+  // Phase times come from trace spans: every rank opens one init and one
+  // final span, and one border/graph/update span per merge phase — log 16
+  // = 4 of them.
   const auto image = im::make_percolation(64, 0.5, 11);
+  tr::Tracer tracer;
   sc::Machine machine(16);
-  cc::CcPhases phases;
-  (void)cc::connected_components_parallel(machine, image, {}, &phases);
-  EXPECT_EQ(phases.merge_phases, 4u);  // log 16
-  EXPECT_GT(phases.init_s, 0.0);
-  EXPECT_GT(phases.border_s, 0.0);
-  EXPECT_GT(phases.update_s, 0.0);
-  EXPECT_GT(phases.final_s, 0.0);
+  machine.set_trace(&tracer);
+  (void)cc::connected_components_parallel(machine, image);
+  std::map<std::string_view, std::size_t> spans;
+  for (const auto& span : tracer.spans()) spans[span.name] += 1;
+  EXPECT_EQ(spans["cc/init"], 16u);
+  EXPECT_EQ(spans["cc/border"], 16u * 4u);
+  EXPECT_EQ(spans["cc/graph"], 16u * 4u);
+  EXPECT_EQ(spans["cc/update"], 16u * 4u);
+  EXPECT_EQ(spans["cc/final"], 16u);
 }
 
 TEST(CcParallelTest, CommCostFarBelowImageSize) {

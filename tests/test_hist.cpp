@@ -3,18 +3,22 @@
 // correctness criteria (sum = n^2, exact band areas), and equalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string_view>
 
 #include "histcc/hist/equalize.hpp"
 #include "histcc/hist/histogram.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/splitc/machine.hpp"
+#include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
 #include "histcc/util/rng.hpp"
 
 namespace hh = histcc::hist;
 namespace im = histcc::img;
 namespace sc = histcc::splitc;
+namespace tr = histcc::trace;
 
 TEST(HistogramSeqTest, CountsAreExact) {
   im::GreyImage image(2, 4, 0);
@@ -90,14 +94,23 @@ TEST(HistParallelTest, WorksOnPredistributedTiles) {
 }
 
 TEST(HistParallelTest, PhaseTimesArePopulated) {
+  // Phase times come from trace spans: one span per step on every rank.
   const auto image = im::make_random_grey(128, 256, 5);
+  tr::Tracer tracer;
   sc::Machine machine(4);
-  hh::HistPhases phases;
-  (void)hh::histogram_parallel(machine, image, 256, &phases);
-  EXPECT_GT(phases.tally_s, 0.0);
-  EXPECT_GT(phases.transpose_s, 0.0);
-  EXPECT_GT(phases.combine_s, 0.0);
-  EXPECT_GT(phases.gather_s, 0.0);
+  machine.set_trace(&tracer);
+  (void)hh::histogram_parallel(machine, image, 256);
+  const auto spans = tracer.spans();
+  for (const char* step : hh::kHistStepSpans) {
+    for (std::uint32_t rank = 0; rank < 4; ++rank) {
+      const auto on_rank = std::count_if(
+          spans.begin(), spans.end(), [&](const tr::Span& span) {
+            return std::string_view(span.name) == step &&
+                   span.tid == tr::rank_tid(rank);
+          });
+      EXPECT_EQ(on_rank, 1) << step << " on rank " << rank;
+    }
+  }
 }
 
 // Eq. (3): communication volume is independent of the image size n.

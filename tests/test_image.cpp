@@ -125,6 +125,18 @@ TEST(LayoutTest, RejectsBadShapes) {
   EXPECT_THROW(im::TileLayout(512, 0, 4), histcc::util::contract_error);
 }
 
+TEST(LayoutTest, RejectsImagesWhoseLabelsWouldWrap) {
+  // The last initial label is H*W; at 2^32 it would wrap to 0, the
+  // background label.  A layout allocates no image, so the boundary is
+  // cheap to probe.
+  EXPECT_THROW(im::TileLayout(65536, 65536, 4), histcc::util::contract_error);
+  EXPECT_NO_THROW(im::TileLayout(65535, 65536, 4));
+  const im::TileLayout largest(65535, 65536, 4);
+  EXPECT_EQ(largest.initial_label(3, largest.tile_rows(3) - 1,
+                                  largest.tile_cols(3) - 1),
+            65535u * 65536u);  // the last pixel: H*W, no wrap
+}
+
 class ScatterGatherTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ScatterGatherTest, RoundTripsExactly) {

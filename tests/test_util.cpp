@@ -146,17 +146,3 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(t.seconds(), a);
   EXPECT_GE(t.nanoseconds(), 0);
 }
-
-TEST(TimerTest, PhaseTimerAccumulates) {
-  hu::PhaseTimer t;
-  EXPECT_EQ(t.seconds(), 0.0);
-  t.start();
-  t.stop();
-  const double first = t.seconds();
-  EXPECT_GE(first, 0.0);
-  t.start();
-  t.stop();
-  EXPECT_GE(t.seconds(), first);
-  t.reset();
-  EXPECT_EQ(t.seconds(), 0.0);
-}

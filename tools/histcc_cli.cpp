@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -148,10 +149,14 @@ int cmd_histogram(const Args& args) {
   const auto image = load_input(args);
   const std::uint32_t k = args.get_u32("k", 256);
   const std::uint32_t p = args.get_u32("p", 16);
+  trace::Tracer phase_tracer;
   splitc::Machine machine(p);
   attach_env_trace(machine);
-  hist::HistPhases phases;
-  const auto counts = hist::histogram_parallel(machine, image, k, &phases);
+  const bool phases = args.has("phases");
+  // --phases reads the kernel's trace spans: from the HISTCC_TRACE tracer
+  // when one is attached, else from a local one.
+  if (phases && machine.tracer() == nullptr) machine.set_trace(&phase_tracer);
+  const auto counts = hist::histogram_parallel(machine, image, k);
   std::uint64_t total = 0;
   for (const auto c : counts) total += c;
   std::printf("histogram of %ux%u image, k=%u, p=%u (%llu pixels)\n",
@@ -160,11 +165,8 @@ int cmd_histogram(const Args& args) {
   for (std::uint32_t g = 0; g < k; ++g) {
     if (counts[g] != 0) std::printf("%4u %u\n", g, counts[g]);
   }
-  if (args.has("phases")) {
-    std::printf("phases: tally %.3fms transpose %.3fms combine %.3fms "
-                "gather %.3fms\n",
-                phases.tally_s * 1e3, phases.transpose_s * 1e3,
-                phases.combine_s * 1e3, phases.gather_s * 1e3);
+  if (phases) {
+    trace::write_phase_report(*machine.tracer(), splitc::host(), std::cout);
   }
   return 0;
 }
