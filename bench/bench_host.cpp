@@ -256,6 +256,36 @@ int main(int argc, char** argv) {
                 rescale_err_pct(sampled, full));
   }
 
+  // The local CC kernels on one 512x512 tile — the tile each rank of a
+  // p = 4 run over the 1024x1024 scene labels — in ns per pixel, so
+  // bench_diff gates this layer apart from the end-to-end records.
+  {
+    constexpr std::uint32_t kTile = 512;
+    bench::TileKernels tile(kTile);
+    const auto label = bench::sample(21, [&] {
+      tile.label();
+      benchmark::DoNotOptimize(tile.labels().data());
+      benchmark::ClobberMemory();
+    });
+    bench::TileKernels merged(kTile);
+    const auto final_pass = bench::sample(21, [&] {
+      merged.final_pass();
+      benchmark::DoNotOptimize(merged.labels().data());
+      benchmark::ClobberMemory();
+    });
+    std::printf("CC tile kernels, %ux%u DARPA-like tile:\n", kTile, kTile);
+    for (const auto& [name, timing] :
+         {std::pair{"kernel_label_tile", label},
+          std::pair{"kernel_final_pass", final_pass}}) {
+      const double ns_per_px = timing.min_s * 1e9 / tile.pixels();
+      json.add(std::string(name) + "_n" + std::to_string(kTile), 1,
+               timing.mean_s * 1e9, timing.min_s * 1e9,
+               tile.pixels() / timing.mean_s, {{"ns_per_px", ns_per_px}});
+      std::printf("  %-20s %8.2f ns/px\n", name, ns_per_px);
+    }
+    std::printf("\n");
+  }
+
   // Ragged-shape allocation footprint: the Spread payload bytes a cc +
   // histogram run constructs under each SpreadLayout.  Very wide / very
   // tall shapes carry the worst max_tile_size() padding, so packed mode

@@ -3,7 +3,7 @@
 // tile labeling, border merging, and the hybrid-sort threshold ablation.
 #include <benchmark/benchmark.h>
 
-#include "histcc/histcc.hpp"
+#include "bench_util.hpp"
 
 namespace {
 
@@ -78,6 +78,30 @@ void BM_SequentialUnionFind(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * n);
 }
 BENCHMARK(BM_SequentialUnionFind)->Arg(128)->Arg(256)->Arg(512);
+
+void BM_LabelTile(benchmark::State& state) {
+  bench::TileKernels tile(static_cast<std::uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    tile.label();
+    benchmark::DoNotOptimize(tile.labels().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tile.pixels()));
+}
+BENCHMARK(BM_LabelTile)->Arg(512);
+
+void BM_FinalHookPass(benchmark::State& state) {
+  bench::TileKernels tile(static_cast<std::uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    tile.final_pass();
+    benchmark::DoNotOptimize(tile.labels().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tile.pixels()));
+}
+BENCHMARK(BM_FinalHookPass)->Arg(512);
 
 void BM_MergeBorder(benchmark::State& state) {
   const auto s = static_cast<std::size_t>(state.range(0));

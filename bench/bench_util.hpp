@@ -177,6 +177,57 @@ inline std::vector<img::GreyImage> catalog_images(std::uint32_t n) {
   return images;
 }
 
+/// The local CC kernels on one n x n tile of the DARPA-like scene, as the
+/// parallel algorithm runs them: `label()` is the Section 5.1 tile
+/// labeling (ccseq::label_tile), `final_pass()` the total-consistency
+/// update (cc::relabel_interior) after a merge that changed every
+/// border-touching component.  The tile stands for the bottom-right one
+/// of a 2n x 2n image, so its initial labels start past n*n and each
+/// hook's final label (its initial label - n*n) names a component of
+/// another tile.  Repeated final passes do identical work.
+class TileKernels {
+ public:
+  explicit TileKernels(std::uint32_t n)
+      : n_(n), scene_(img::make_darpa_like(n)), labels_(scene_.size()) {
+    label();
+    const auto offsets = cc::tile_border_offsets(n, n);
+    hooks_ = cc::make_tile_hooks(scene_.pixels(), labels_, offsets);
+    std::vector<cc::ChangePair> merged;
+    for (const auto& hook : hooks_) {
+      merged.push_back(cc::ChangePair{hook.label, hook.label - offset()});
+    }
+    cc::update_border_labels(labels_, scene_.pixels(), offsets, merged);
+  }
+
+  void label() {
+    const std::uint32_t n = n_;
+    const std::uint32_t base = offset();
+    ccseq::label_tile(scene_.pixels(), labels_, n, n,
+                      ccseq::Connectivity::kEight,
+                      ccseq::ColourRule::kSameColour,
+                      [n, base](std::uint32_t i, std::uint32_t j) {
+                        return base + i * n + j + 1;
+                      });
+  }
+
+  void final_pass() { cc::relabel_interior(labels_, scene_.pixels(), hooks_); }
+
+  [[nodiscard]] const std::vector<std::uint32_t>& labels() const noexcept {
+    return labels_;
+  }
+  [[nodiscard]] double pixels() const noexcept {
+    return static_cast<double>(scene_.size());
+  }
+
+ private:
+  [[nodiscard]] std::uint32_t offset() const noexcept { return n_ * n_; }
+
+  std::uint32_t n_;
+  img::GreyImage scene_;
+  std::vector<std::uint32_t> labels_;
+  std::vector<cc::TileHook> hooks_;
+};
+
 /// Pretty time: ms with 3 significant decimals.
 inline std::string ms(double seconds) {
   char buf[32];

@@ -10,9 +10,9 @@
 /// component's initial label plus the offset of one of its border pixels
 /// (Procedure 2, Figure 5).  During the log p merges only border-pixel
 /// labels are kept current (binary search over the change array); after
-/// the final merge each hook whose border pixel now carries a different
-/// label seeds one breadth-first relabeling of the component's stale
-/// interior — the "total consistency update at the final step".
+/// the final merge the hooks whose border pixel now carries a different
+/// label form one small change table, applied to the stale interiors in a
+/// single linear pass — the "total consistency update at the final step".
 
 #include <cstdint>
 #include <span>
@@ -56,15 +56,17 @@ void update_all_labels(std::span<std::uint32_t> labels,
                        std::span<const std::uint8_t> pixels,
                        std::span<const ChangePair> changes);
 
-/// Final total-consistency update: for every hook whose border pixel now
-/// carries a label different from the hook's, BFS from that pixel through
-/// the component (labels equal to either the stale or the new value),
-/// rewriting to the new value.  `visited` is caller-provided scratch of at
-/// least rows*cols bytes, zeroed on entry by this function.
-void relabel_interior(std::span<std::uint32_t> labels, std::uint32_t rows,
-                      std::uint32_t cols, std::span<const TileHook> hooks,
-                      ccseq::Connectivity conn,
-                      std::vector<std::uint8_t>& visited);
+/// Final total-consistency update: every hook whose border pixel now
+/// carries a label different from the hook's yields the change
+/// (hook label -> current label), and one `update_all_labels` pass applies
+/// that table to the whole tile.  Initial labels are unique per component,
+/// and a final label equal to an in-tile initial label means that
+/// component kept its label, so no final label is a key of the table:
+/// changes never chain and pixels that are already final stay put.
+/// O(qr log H) for H hooks.
+void relabel_interior(std::span<std::uint32_t> labels,
+                      std::span<const std::uint8_t> pixels,
+                      std::span<const TileHook> hooks);
 
 }  // namespace histcc::cc
 

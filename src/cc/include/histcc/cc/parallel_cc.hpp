@@ -7,8 +7,9 @@
 /// Structure (binary and grey-level images share all of it; only the
 /// colour rule differs):
 ///   1. *Initialization* (5.1): each processor labels its own q x r tile
-///      with the sequential BFS labeler, using the globally unique initial
-///      labels (I*q + i)*n + (J*r + j) + 1, and creates its tile hooks
+///      with the sequential union-find scan labeler (the paper uses BFS;
+///      any local labeler fits), using the globally unique initial labels
+///      (I*q + i)*n + (J*r + j) + 1, and creates its tile hooks
 ///      (Procedure 2).
 ///   2. *log p merge iterations* (5.2-5.4), alternating horizontal and
 ///      vertical merges.  In each, the group manager (with its shadow
@@ -17,7 +18,8 @@
 ///      problem, and publishes the sorted change array; every group member
 ///      then updates only its tile-border labels by binary search.
 ///   3. *Total consistency update*: after the last merge, each processor
-///      relabels its stale interiors from its hooks.
+///      turns its changed hooks into one change table and relabels its
+///      stale interiors in a single linear pass.
 ///
 /// The labeling returned is the library-wide canonical one (see
 /// cc_seq/common.hpp), so it equals the sequential labelers' output

@@ -1,7 +1,6 @@
 #include "histcc/cc/hooks.hpp"
 
 #include "histcc/sortutil/radix.hpp"
-#include "histcc/util/require.hpp"
 
 namespace histcc::cc {
 
@@ -69,63 +68,31 @@ void update_all_labels(std::span<std::uint32_t> labels,
                        std::span<const std::uint8_t> pixels,
                        std::span<const ChangePair> changes) {
   if (changes.empty()) return;
+  // Labels come in runs along a row, so one lookup serves a whole run.
+  std::uint32_t run_label = 0;
+  std::uint32_t run_result = apply_changes(changes, 0);
   for (std::size_t idx = 0; idx < labels.size(); ++idx) {
     if (pixels[idx] == 0) continue;
-    labels[idx] = apply_changes(changes, labels[idx]);
+    if (labels[idx] != run_label) {
+      run_label = labels[idx];
+      run_result = apply_changes(changes, run_label);
+    }
+    labels[idx] = run_result;
   }
 }
 
-void relabel_interior(std::span<std::uint32_t> labels, std::uint32_t rows,
-                      std::uint32_t cols, std::span<const TileHook> hooks,
-                      ccseq::Connectivity conn,
-                      std::vector<std::uint8_t>& visited) {
-  const std::size_t count = static_cast<std::size_t>(rows) * cols;
-  HISTCC_REQUIRE(labels.size() >= count, "label span too small");
-  visited.assign(count, 0);
-  const bool eight = conn == ccseq::Connectivity::kEight;
-
-  std::vector<std::uint32_t> queue;
+void relabel_interior(std::span<std::uint32_t> labels,
+                      std::span<const std::uint8_t> pixels,
+                      std::span<const TileHook> hooks) {
+  // Hooks are sorted by label, so the change table comes out alpha-sorted.
+  std::vector<ChangePair> changes;
   for (const auto& hook : hooks) {
     const std::uint32_t current = labels[hook.offset];
-    if (current == hook.label) continue;  // component label survived
-    const std::uint32_t stale = hook.label;
-    if (visited[hook.offset]) continue;
-
-    // BFS through the component: pixels still carrying the stale label or
-    // already carrying the final one.  Labels are unique per component, so
-    // the walk cannot escape into a neighbouring component.
-    queue.clear();
-    queue.push_back(hook.offset);
-    visited[hook.offset] = 1;
-    labels[hook.offset] = current;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint32_t idx = queue[head];
-      const std::uint32_t i = idx / cols;
-      const std::uint32_t j = idx % cols;
-      auto visit = [&](std::uint32_t ni, std::uint32_t nj) {
-        const std::uint32_t nidx = ni * cols + nj;
-        if (visited[nidx]) return;
-        if (labels[nidx] != stale && labels[nidx] != current) return;
-        visited[nidx] = 1;
-        labels[nidx] = current;
-        queue.push_back(nidx);
-      };
-      const bool has_n = i > 0;
-      const bool has_s = i + 1 < rows;
-      const bool has_w = j > 0;
-      const bool has_e = j + 1 < cols;
-      if (has_n) visit(i - 1, j);
-      if (has_s) visit(i + 1, j);
-      if (has_w) visit(i, j - 1);
-      if (has_e) visit(i, j + 1);
-      if (eight) {
-        if (has_n && has_w) visit(i - 1, j - 1);
-        if (has_n && has_e) visit(i - 1, j + 1);
-        if (has_s && has_w) visit(i + 1, j - 1);
-        if (has_s && has_e) visit(i + 1, j + 1);
-      }
+    if (current != hook.label) {
+      changes.push_back(ChangePair{hook.label, current});
     }
   }
+  update_all_labels(labels, pixels, changes);
 }
 
 }  // namespace histcc::cc

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
 
@@ -67,17 +67,15 @@ img::LabelImage connected_components_label_prop(splitc::Machine& machine,
     std::vector<std::uint32_t> comp_labels;
     if (nonempty) {
       TRACE_SCOPE(self, "cc/prop_init");
-      ccseq::BfsScratch scratch;
       std::uint32_t next_id = 0;
       ccseq::label_tile(
           my_px, std::span<std::uint32_t>(comp_id), q, r, conn, rule,
           [&](std::uint32_t i, std::uint32_t j) {
             comp_labels.push_back(layout.initial_label(rank, i, j));
             return ++next_id;
-          },
-          scratch);
-      self.charge_ops(12 * layout.tile_size(rank));  // BFS init, as in
-                                                     // parallel_cc
+          });
+      self.charge_ops(12 * layout.tile_size(rank));  // tile labeling, as
+                                                     // in parallel_cc
     }
     auto current_label = [&](std::size_t idx) -> std::uint32_t {
       return comp_id[idx] == 0 ? 0 : comp_labels[comp_id[idx] - 1];

@@ -7,7 +7,7 @@
 #include "histcc/cc/border_graph.hpp"
 #include "histcc/cc/hooks.hpp"
 #include "histcc/cc/merge_schedule.hpp"
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
 
@@ -16,21 +16,19 @@ namespace {
 
 // Abstract RAM operations charged per unit of work, so modeled Tcomp is
 // comparable with the calibrated per-op costs in splitc::MachineProfile
-// (one op = one histogram-tally pixel visit).  A BFS pixel visit touches
-// the queue, the mark, and up to eight neighbours; sorting and graph
+// (one op = one histogram-tally pixel visit).  A labeled pixel is scanned
+// against up to four neighbours and resolved once more; sorting and graph
 // construction cost a few ops per element.
-constexpr std::uint64_t kOpsPerLabeledPixel = 12;   // init BFS + hooks
+constexpr std::uint64_t kOpsPerLabeledPixel = 12;   // init scan + hooks
 constexpr std::uint64_t kOpsPerSortedBorderElem = 3;   // pack + radix sort
 constexpr std::uint64_t kOpsPerMergedBorderElem = 10;  // graph + BFS + changes
 constexpr std::uint64_t kOpsPerBorderUpdate = 4;       // binary search step
-constexpr std::uint64_t kOpsPerRelabeledPixel = 6;     // final BFS visit
+constexpr std::uint64_t kOpsPerRelabeledPixel = 6;     // final table lookup
 
 /// Everything one virtual processor needs across the merge iterations.
 struct ProcState {
   std::vector<std::uint32_t> border_offsets;  ///< my tile's border pixels
   std::vector<TileHook> hooks;
-  ccseq::BfsScratch bfs;
-  std::vector<std::uint8_t> visited;
   // Manager-side staging for one merge.
   std::vector<std::uint8_t> lo_px, hi_px;
   std::vector<std::uint32_t> lo_lb, hi_lb;
@@ -85,8 +83,7 @@ void connected_components_parallel(splitc::Machine& machine,
             my_px, my_lb, q, r, options.connectivity, options.rule,
             [&](std::uint32_t i, std::uint32_t j) {
               return layout.initial_label(rank, i, j);
-            },
-            st.bfs);
+            });
         st.border_offsets = tile_border_offsets(q, r);
         st.hooks = make_tile_hooks(my_px, my_lb, st.border_offsets);
         labels.note_local_write(self);  // race-ledger epoch annotation
@@ -296,8 +293,8 @@ void connected_components_parallel(splitc::Machine& machine,
     // -------- Total consistency update --------
     TRACE_SPAN(self, "cc/final") {
       if (!options.full_relabel_each_phase && nonempty) {
-        relabel_interior(my_lb, q, r, st.hooks, options.connectivity,
-                         st.visited);
+        relabel_interior(my_lb.first(layout.tile_size(rank)), my_px,
+                         st.hooks);
         labels.note_local_write(self);  // race-ledger epoch annotation
         self.charge_ops(kOpsPerRelabeledPixel * layout.tile_size(rank));
       }

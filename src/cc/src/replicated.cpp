@@ -1,7 +1,7 @@
 #include "histcc/cc/replicated.hpp"
 
 #include "histcc/bdm/primitives.hpp"
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/util/math.hpp"
 #include "histcc/util/require.hpp"
 
@@ -16,6 +16,7 @@ img::LabelImage connected_components_replicated(splitc::Machine& machine,
   const std::uint32_t p = machine.nprocs();
   const std::size_t total = image.size();
   HISTCC_REQUIRE(total > 0, "image must be non-empty");
+  img::require_labelable(h, w);
 
   // The whole image starts on processor 0 and is broadcast to everyone.
   // `broadcast` requires p | q, so the blocks are padded up to the next
@@ -34,12 +35,11 @@ img::LabelImage connected_components_replicated(splitc::Machine& machine,
     // Every processor labels the complete image — that is the point of
     // the baseline: the sequential work is fully replicated.
     std::vector<std::uint32_t> labels(total);
-    ccseq::BfsScratch bfs;
     ccseq::label_tile(
         replica.local(self), labels, h, w, conn, rule,
-        [w](std::uint32_t i, std::uint32_t j) { return i * w + j + 1; },
-        bfs);
-    self.charge_ops(12 * total);  // same per-pixel BFS cost as parallel_cc
+        [w](std::uint32_t i, std::uint32_t j) { return i * w + j + 1; });
+    self.charge_ops(12 * total);  // same per-pixel labeling cost as
+                                  // parallel_cc
 
     if (self.rank() == 0) {
       std::copy(labels.begin(), labels.end(), result.pixels().begin());

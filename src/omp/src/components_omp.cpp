@@ -8,59 +8,19 @@
 #include <memory>
 #include <vector>
 
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/omp/epoch_check.hpp"
 #include "histcc/util/require.hpp"
 
 namespace histcc::omp {
 namespace {
 
-/// Union-by-minimum disjoint sets over pixel indices, as in
-/// ccseq::DisjointSets but with an additional read-only find for the
-/// concurrent resolve pass.
-class Forest {
- public:
-  explicit Forest(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      parent_[i] = static_cast<std::uint32_t>(i);
-    }
-  }
-
-  std::uint32_t find(std::uint32_t x) noexcept {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  /// Root lookup without path mutation — safe to call concurrently with
-  /// other find_const calls (but not with unite/find).
-  [[nodiscard]] std::uint32_t find_const(std::uint32_t x) const noexcept {
-    while (parent_[x] != x) x = parent_[x];
-    return x;
-  }
-
-  void unite(std::uint32_t a, std::uint32_t b) noexcept {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a < b) {
-      parent_[b] = a;
-    } else {
-      parent_[a] = b;
-    }
-  }
-
- private:
-  std::vector<std::uint32_t> parent_;
-};
-
 /// Run the raster-scan union pass over rows [row_begin, row_end), linking
 /// each foreground pixel with its already-scanned neighbours.  When
 /// `skip_up` is true the first row links only westwards (its upward
 /// neighbours belong to another strip and are handled by the serial
 /// boundary pass).
-void scan_rows(const img::GreyImage& image, Forest& forest,
+void scan_rows(const img::GreyImage& image, ccseq::DisjointSets& forest,
                std::uint32_t row_begin, std::uint32_t row_end, bool skip_up,
                ccseq::Connectivity conn, ccseq::ColourRule rule) {
   const std::uint32_t cols = image.width();
@@ -100,10 +60,11 @@ img::LabelImage connected_components_omp(const img::GreyImage& image,
                                          unsigned threads) {
   const std::uint32_t rows = image.height();
   const std::uint32_t cols = image.width();
+  img::require_labelable(rows, cols);  // the forest holds 32-bit indices
   img::LabelImage labels(rows, cols);
   if (image.empty()) return labels;
 
-  Forest forest(static_cast<std::size_t>(rows) * cols);
+  ccseq::DisjointSets forest(static_cast<std::size_t>(rows) * cols);
 
 #ifdef _OPENMP
   if (threads == 0) threads = backend_threads();

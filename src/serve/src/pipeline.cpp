@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "histcc/cc/stats_parallel.hpp"
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/hist/equalize.hpp"
 #include "histcc/hist/histogram.hpp"
 #include "histcc/image/layout.hpp"
@@ -212,8 +212,8 @@ PendingJob<img::LabelImage> Pipeline::submit_components(img::GreyImage image,
         return cc::connected_components_parallel(machine, im, options);
       },
       [options](const img::GreyImage& im) {
-        return ccseq::label_components_bfs(im, options.connectivity,
-                                           options.rule);
+        return ccseq::label_components_unionfind(im, options.connectivity,
+                                                 options.rule);
       });
 }
 
@@ -240,7 +240,7 @@ PendingJob<std::vector<ccseq::ComponentStats>> Pipeline::submit_stats(
         return stats_parallel_image(machine, im, options);
       },
       [options](const img::GreyImage& im) {
-        const auto labels = ccseq::label_components_bfs(
+        const auto labels = ccseq::label_components_unionfind(
             im, options.connectivity, options.rule);
         return ccseq::component_stats(im, labels);
       });

@@ -3,10 +3,17 @@
 // canonical labeling property, and cross-validation of the two labelers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "histcc/cc_seq/analysis.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
 #include "histcc/cc_seq/union_find.hpp"
 #include "histcc/image/generators.hpp"
+#include "histcc/image/layout.hpp"
+#include "histcc/util/rng.hpp"
 
 namespace cs = histcc::ccseq;
 namespace im = histcc::img;
@@ -129,6 +136,147 @@ TEST(DisjointSetsTest, RootIsMinimumMember) {
   EXPECT_EQ(sets.find(0), 0u);
   sets.unite(5, 1);
   EXPECT_EQ(sets.find(9), 1u);
+}
+
+TEST(DisjointSetsTest, FindConstAgreesWithoutCompressing) {
+  cs::DisjointSets sets(8);
+  // A chain 7 -> 6 -> ... -> 0 built by uniting each pair's roots.
+  for (std::uint32_t x = 7; x > 0; --x) sets.unite(x, x - 1);
+  const cs::DisjointSets& view = sets;
+  for (std::uint32_t x = 0; x < 8; ++x) EXPECT_EQ(view.find_const(x), 0u) << x;
+  sets.unite(4, 2);  // same set: no-op
+  EXPECT_EQ(view.find_const(7), 0u);
+  cs::DisjointSets apart(4);
+  apart.unite(3, 2);
+  EXPECT_EQ(apart.find_const(3), 2u);
+  EXPECT_EQ(apart.find_const(1), 1u);
+  EXPECT_EQ(apart.find_const(3), apart.find(3));
+}
+
+namespace {
+
+/// Pixels of processor `rank`'s tile of `image`, row-major.
+std::vector<std::uint8_t> tile_pixels(const im::GreyImage& image,
+                                      const im::TileLayout& layout,
+                                      std::uint32_t rank) {
+  std::vector<std::uint8_t> px;
+  for (std::uint32_t i = 0; i < layout.tile_rows(rank); ++i) {
+    for (std::uint32_t j = 0; j < layout.tile_cols(rank); ++j) {
+      px.push_back(
+          image(layout.global_row(rank, i), layout.global_col(rank, j)));
+    }
+  }
+  return px;
+}
+
+/// A rows x cols image with grey levels 0..levels-1 (0 = background).
+im::GreyImage random_image(std::uint32_t rows, std::uint32_t cols,
+                           std::uint32_t levels, std::uint64_t seed) {
+  histcc::util::Rng rng(seed);
+  im::GreyImage image(rows, cols);
+  for (auto& px : image.pixels()) {
+    px = static_cast<std::uint8_t>(rng.next_below(levels));
+  }
+  return image;
+}
+
+}  // namespace
+
+TEST(LabelTileTest, SeedLabelRunsOncePerComponentInScanOrder) {
+  // A U whose arms meet only on the last row, beside a later component:
+  // the scan sees the right arm as a separate root until the bottom row.
+  const auto image = from_rows({{1, 0, 1, 0, 1},  //
+                                {1, 0, 1, 0, 0},  //
+                                {1, 1, 1, 0, 1}});
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> calls;
+  std::vector<std::uint32_t> labels(image.size());
+  cs::label_tile(image.pixels(), labels, 3, 5, cs::Connectivity::kFour,
+                 cs::ColourRule::kBinary,
+                 [&](std::uint32_t i, std::uint32_t j) {
+                   calls.emplace_back(i, j);
+                   return static_cast<std::uint32_t>(100 + calls.size());
+                 });
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> want{
+      {0, 0}, {0, 4}, {2, 4}};
+  EXPECT_EQ(calls, want);
+  EXPECT_EQ(labels, (std::vector<std::uint32_t>{101, 0, 101, 0, 102,  //
+                                                101, 0, 101, 0, 0,    //
+                                                101, 101, 101, 0, 103}));
+}
+
+TEST(LabelTileTest, NothingPastTheTileIsWritten) {
+  constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
+  const auto image = random_image(7, 9, 3, 5);
+  std::vector<std::uint8_t> px(image.pixels().begin(), image.pixels().end());
+  px.resize(px.size() + 4, 1);  // foreground beyond the tile is ignored
+  std::vector<std::uint32_t> labels(image.size() + 4, kSentinel);
+  cs::label_tile(px, labels, 7, 9, cs::Connectivity::kEight,
+                 cs::ColourRule::kSameColour,
+                 [](std::uint32_t i, std::uint32_t j) {
+                   return i * 9 + j + 1;
+                 });
+  for (std::size_t k = image.size(); k < labels.size(); ++k) {
+    EXPECT_EQ(labels[k], kSentinel) << k;
+  }
+  labels.resize(image.size());
+  const auto bfs = cs::label_components_bfs(image, cs::Connectivity::kEight,
+                                            cs::ColourRule::kSameColour);
+  EXPECT_EQ(labels, std::vector<std::uint32_t>(bfs.pixels().begin(),
+                                               bfs.pixels().end()));
+}
+
+TEST(LabelTileTest, MatchesBfsOnRaggedTilesWithInitialLabels) {
+  // Ragged layouts (edge tiles shrink, some to nothing) labeled tile by
+  // tile with the parallel algorithm's initial labels: each component's
+  // label must be initial_label at its first pixel, which BFS on the tile
+  // alone names as canonical label - 1, and seed_label must run once per
+  // component, in scan order.
+  const std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>
+      shapes{{37, 53, 8}, {5, 61, 16}, {61, 5, 4}, {33, 33, 16}};
+  for (const auto& [h, w, p] : shapes) {
+    const im::TileLayout layout(h, w, p);
+    for (const auto rule :
+         {cs::ColourRule::kBinary, cs::ColourRule::kSameColour}) {
+      const std::uint32_t levels = rule == cs::ColourRule::kBinary ? 2 : 4;
+      const auto image = random_image(h, w, levels, h * 1000 + w + levels);
+      for (const auto conn :
+           {cs::Connectivity::kFour, cs::Connectivity::kEight}) {
+        for (std::uint32_t rank = 0; rank < p; ++rank) {
+          const std::uint32_t q = layout.tile_rows(rank);
+          const std::uint32_t r = layout.tile_cols(rank);
+          const auto px = tile_pixels(image, layout, rank);
+          std::vector<std::uint32_t> got(px.size());
+          std::vector<std::uint32_t> seeds;  // canonical labels, call order
+          cs::label_tile(px, got, q, r, conn, rule,
+                         [&](std::uint32_t i, std::uint32_t j) {
+                           seeds.push_back(i * r + j + 1);
+                           return layout.initial_label(rank, i, j);
+                         });
+          if (px.empty()) continue;
+          im::GreyImage tile(q, r);
+          std::copy(px.begin(), px.end(), tile.pixels().begin());
+          const auto bfs = cs::label_components_bfs(tile, conn, rule);
+          std::vector<std::uint32_t> want_seeds(bfs.pixels().begin(),
+                                                bfs.pixels().end());
+          std::sort(want_seeds.begin(), want_seeds.end());
+          want_seeds.erase(
+              std::unique(want_seeds.begin(), want_seeds.end()),
+              want_seeds.end());
+          if (want_seeds.front() == 0) want_seeds.erase(want_seeds.begin());
+          ASSERT_EQ(seeds, want_seeds) << h << "x" << w << " p=" << p
+                                       << " rank " << rank;
+          for (std::size_t k = 0; k < px.size(); ++k) {
+            const std::uint32_t b = bfs.pixels()[k];
+            const std::uint32_t want =
+                b == 0 ? 0
+                       : layout.initial_label(rank, (b - 1) / r, (b - 1) % r);
+            ASSERT_EQ(got[k], want) << h << "x" << w << " p=" << p
+                                    << " rank " << rank << " pixel " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(AnalysisTest, ComponentSizesSorted) {

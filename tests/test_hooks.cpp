@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "histcc/cc/hooks.hpp"
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 
 namespace cc = histcc::cc;
 namespace cs = histcc::ccseq;
@@ -15,11 +15,9 @@ std::vector<std::uint32_t> label(const std::vector<std::uint8_t>& px,
                                  std::uint32_t rows, std::uint32_t cols,
                                  cs::Connectivity conn = cs::Connectivity::kEight) {
   std::vector<std::uint32_t> lb(px.size());
-  cs::BfsScratch scratch;
   cs::label_tile(
       px, lb, rows, cols, conn, cs::ColourRule::kBinary,
-      [cols](std::uint32_t i, std::uint32_t j) { return i * cols + j + 1; },
-      scratch);
+      [cols](std::uint32_t i, std::uint32_t j) { return i * cols + j + 1; });
   return lb;
 }
 
@@ -128,8 +126,7 @@ TEST(RelabelInteriorTest, StaleInteriorIsFixed) {
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 4));
   cc::update_border_labels(lb, px, cc::tile_border_offsets(4, 4),
                            {{cc::ChangePair{1, 42}}});
-  std::vector<std::uint8_t> visited;
-  cc::relabel_interior(lb, 4, 4, hooks, cs::Connectivity::kEight, visited);
+  cc::relabel_interior(lb, px, hooks);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(lb[i], 42u) << i;
 }
 
@@ -137,8 +134,7 @@ TEST(RelabelInteriorTest, UnchangedComponentsAreSkipped) {
   std::vector<std::uint8_t> px(16, 1);
   auto lb = label(px, 4, 4);
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 4));
-  std::vector<std::uint8_t> visited;
-  cc::relabel_interior(lb, 4, 4, hooks, cs::Connectivity::kEight, visited);
+  cc::relabel_interior(lb, px, hooks);
   for (const auto l : lb) EXPECT_EQ(l, 1u);
 }
 
@@ -153,8 +149,7 @@ TEST(RelabelInteriorTest, MultipleComponentsIndependently) {
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 4));
   cc::update_border_labels(lb, px, cc::tile_border_offsets(4, 4),
                            {{cc::ChangePair{9, 3}}});
-  std::vector<std::uint8_t> visited;
-  cc::relabel_interior(lb, 4, 4, hooks, cs::Connectivity::kEight, visited);
+  cc::relabel_interior(lb, px, hooks);
   for (std::uint32_t j = 0; j < 4; ++j) {
     EXPECT_EQ(lb[j], 1u);
     EXPECT_EQ(lb[8 + j], 3u);
@@ -164,8 +159,9 @@ TEST(RelabelInteriorTest, MultipleComponentsIndependently) {
 
 TEST(RelabelInteriorTest, UShapedComponentFullyRelabeled) {
   // A U-shape whose interior pixels connect only through border pixels:
-  // the BFS must traverse already-updated border pixels to reach all
-  // stale ones.
+  // the change table from the single hook must reach every stale pixel,
+  // however it is connected, while the already-updated border pixels keep
+  // their final label.
   std::vector<std::uint8_t> px{1, 0, 0, 1,  //
                                1, 0, 0, 1,  //
                                1, 0, 0, 1,  //
@@ -181,8 +177,7 @@ TEST(RelabelInteriorTest, UShapedComponentFullyRelabeled) {
   ASSERT_EQ(hooks.size(), 1u);
   cc::update_border_labels(lb, px, cc::tile_border_offsets(4, 4),
                            {{cc::ChangePair{1, 77}}});
-  std::vector<std::uint8_t> visited;
-  cc::relabel_interior(lb, 4, 4, hooks, cs::Connectivity::kEight, visited);
+  cc::relabel_interior(lb, px, hooks);
   for (std::size_t i = 0; i < px.size(); ++i) {
     if (px[i]) {
       EXPECT_EQ(lb[i], 77u) << i;
@@ -201,8 +196,7 @@ TEST(RelabelInteriorTest, FourConnectivityRespected) {
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(2, 2));
   cc::update_border_labels(lb, px, cc::tile_border_offsets(2, 2),
                            {{cc::ChangePair{1, 99}}});
-  std::vector<std::uint8_t> visited;
-  cc::relabel_interior(lb, 2, 2, hooks, cs::Connectivity::kFour, visited);
+  cc::relabel_interior(lb, px, hooks);
   EXPECT_EQ(lb[0], 99u);
   EXPECT_EQ(lb[3], 4u);
 }
