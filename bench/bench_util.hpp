@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,6 +49,57 @@ Timing sample(int reps, Fn&& fn) {
   }
   return Timing{total / reps, best};
 }
+
+/// Best-of timings for several sub-millisecond calls, measured in
+/// interleaved rounds: each round gives every row `budget_s / rounds`
+/// seconds of back-to-back calls (at least one).  A best-of-3 of such a
+/// call swings by tens of percent between runs of one binary; hundreds of
+/// calls per row settle on its floor, and spreading them over the rounds
+/// keeps a slow spell of the host (a co-tenant, cache or frequency
+/// noise) from covering all the calls of one row.
+class Rounds {
+ public:
+  /// Add a row; `setup` (optional) runs untimed before every call of
+  /// `fn`.  Returns the row's index for timing().
+  std::size_t add(std::function<void()> fn,
+                  std::function<void()> setup = {}) {
+    rows_.push_back(Row{std::move(fn), std::move(setup), 0.0, 1e300, 0});
+    return rows_.size() - 1;
+  }
+
+  void run(int rounds, double budget_s) {
+    const double slice_s = budget_s / rounds;
+    for (int round = 0; round < rounds; ++round) {
+      for (auto& row : rows_) {
+        const util::Timer slice;
+        do {
+          if (row.setup) row.setup();
+          util::Timer timer;
+          row.fn();
+          const double s = timer.seconds();
+          row.total_s += s;
+          if (s < row.best_s) row.best_s = s;
+          ++row.calls;
+        } while (slice.seconds() < slice_s);
+      }
+    }
+  }
+
+  [[nodiscard]] Timing timing(std::size_t row) const {
+    const Row& r = rows_[row];
+    return Timing{r.total_s / static_cast<double>(r.calls), r.best_s};
+  }
+
+ private:
+  struct Row {
+    std::function<void()> fn;
+    std::function<void()> setup;
+    double total_s;
+    double best_s;
+    std::uint64_t calls;
+  };
+  std::vector<Row> rows_;
+};
 
 /// Machine-readable sink for benchmark results: BENCH_<tag>.json in the
 /// working directory, one flat record per measured configuration so CI

@@ -6,6 +6,10 @@
 ///
 /// Sequential: one pass, O(n^2 + k).
 ///
+/// Local tally: `tally` is the step-1 kernel shared by the VM algorithm
+/// and the OpenMP backend; `histogram_seq` keeps its own plain loop so it
+/// stays an independent oracle for both.
+///
 /// Parallel (the paper's algorithm):
 ///   1. every processor tallies its q x r tile into a local array H_i[0..k);
 ///   2. a matrix transpose rearranges the tallies so all partial counts of
@@ -22,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "histcc/image/image.hpp"
@@ -40,6 +45,15 @@ namespace histcc::hist {
 /// as in the computation-vs-communication plots of Figure 11.
 inline constexpr std::array<const char*, 4> kHistStepSpans = {
     "hist/tally", "hist/transpose", "hist/combine", "hist/gather"};
+
+/// Add the k-bar histogram of `pixels` into `counts[0..k)` (the bars are
+/// added to, not overwritten).  Four interleaved private 256-bin
+/// sub-tables, no per-pixel branch; after the pass one check that every
+/// bar >= k stayed empty (contract_error "pixel value exceeds grey-level
+/// count" otherwise, with `counts` untouched).  k must be a power of two
+/// in [2, 256] and `counts` must hold at least k bars.  O(len + 256).
+void tally(std::span<const std::uint8_t> pixels,
+           std::span<std::uint32_t> counts, std::uint32_t k);
 
 /// One-pass sequential histogram; the baseline for efficiency numbers.
 /// k must be a power of two in [2, 256]; every pixel must be < k.

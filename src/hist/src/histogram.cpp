@@ -1,6 +1,7 @@
 #include "histcc/hist/histogram.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "histcc/bdm/primitives.hpp"
 #include "histcc/trace/trace.hpp"
@@ -16,6 +17,33 @@ void require_k(std::uint32_t k) {
 }
 
 }  // namespace
+
+void tally(std::span<const std::uint8_t> pixels,
+           std::span<std::uint32_t> counts, std::uint32_t k) {
+  require_k(k);
+  HISTCC_REQUIRE(counts.size() >= k, "counts must hold k bars");
+  // Consecutive pixels land in different sub-tables, so a run of equal
+  // values does not serialize on one counter's store-to-load forwarding.
+  std::array<std::array<std::uint32_t, 256>, 4> sub{};
+  const std::uint8_t* px = pixels.data();
+  const std::size_t n = pixels.size();
+  std::size_t idx = 0;
+  for (; idx + 4 <= n; idx += 4) {
+    ++sub[0][px[idx]];
+    ++sub[1][px[idx + 1]];
+    ++sub[2][px[idx + 2]];
+    ++sub[3][px[idx + 3]];
+  }
+  for (; idx < n; ++idx) ++sub[0][px[idx]];
+  std::uint32_t out_of_range = 0;
+  for (std::uint32_t g = k; g < 256; ++g) {
+    out_of_range |= sub[0][g] | sub[1][g] | sub[2][g] | sub[3][g];
+  }
+  HISTCC_REQUIRE(out_of_range == 0, "pixel value exceeds grey-level count");
+  for (std::uint32_t g = 0; g < k; ++g) {
+    counts[g] += sub[0][g] + sub[1][g] + sub[2][g] + sub[3][g];
+  }
+}
 
 std::vector<std::uint32_t> histogram_seq(const img::GreyImage& image,
                                          std::uint32_t k) {
@@ -56,13 +84,8 @@ std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
     // Step 1: tally my tile.  O(n^2 / p) local work.
     {
       TRACE_SCOPE(self, kHistStepSpans[0]);
-      auto h = local_h.local(self);
-      auto px = tiles.local(self);
       const std::size_t count = layout.tile_size(self.rank());
-      for (std::size_t idx = 0; idx < count; ++idx) {
-        HISTCC_REQUIRE(px[idx] < k, "pixel value exceeds grey-level count");
-        ++h[px[idx]];
-      }
+      tally(tiles.local(self).first(count), local_h.local(self), k);
       if (count > 0) {
         local_h.note_local_write(self);  // race-ledger epoch annotation
       }

@@ -201,9 +201,9 @@ class TileLayout {
   }
 
   /// Cut a host image into tiles, one Spread block per processor, pixels
-  /// row-major within the tile.  Requires `spread_fits(out)` (see the
-  /// Spread contract in the file comment); blocks of empty tiles are left
-  /// untouched (zero).
+  /// row-major within the tile: one contiguous copy per tile row.
+  /// Requires `spread_fits(out)` (see the Spread contract in the file
+  /// comment); blocks of empty tiles are left untouched (zero).
   template <typename T>
   void scatter(const Image<T>& image, splitc::Spread<T>& out) const {
     HISTCC_REQUIRE(image.height() == height_ && image.width() == width_,
@@ -215,17 +215,17 @@ class TileLayout {
       auto block = out.block(rank);
       const std::uint32_t q = tile_rows(rank);
       const std::uint32_t r = tile_cols(rank);
-      for (std::uint32_t i = 0; i < q; ++i) {
-        for (std::uint32_t j = 0; j < r; ++j) {
-          block[static_cast<std::size_t>(i) * r + j] =
-              image(global_row(rank, i), global_col(rank, j));
-        }
+      if (q == 0 || r == 0) continue;
+      const T* src = &image(global_row(rank, 0), global_col(rank, 0));
+      T* dst = block.data();
+      for (std::size_t i = 0; i < q; ++i) {
+        std::copy_n(src + i * width_, r, dst + i * r);
       }
     }
   }
 
-  /// Reassemble a host image from tiles (same Spread contract as
-  /// scatter).
+  /// Reassemble a host image from tiles, one contiguous copy per tile row
+  /// (same Spread contract as scatter).
   template <typename T>
   [[nodiscard]] Image<T> gather(const splitc::Spread<T>& in) const {
     HISTCC_REQUIRE(spread_fits(in),
@@ -236,11 +236,11 @@ class TileLayout {
       auto block = in.block(rank);
       const std::uint32_t q = tile_rows(rank);
       const std::uint32_t r = tile_cols(rank);
-      for (std::uint32_t i = 0; i < q; ++i) {
-        for (std::uint32_t j = 0; j < r; ++j) {
-          image(global_row(rank, i), global_col(rank, j)) =
-              block[static_cast<std::size_t>(i) * r + j];
-        }
+      if (q == 0 || r == 0) continue;
+      const T* src = block.data();
+      T* dst = &image(global_row(rank, 0), global_col(rank, 0));
+      for (std::size_t i = 0; i < q; ++i) {
+        std::copy_n(src + i * r, r, dst + i * width_);
       }
     }
     return image;

@@ -4,8 +4,11 @@
 #include <omp.h>
 #endif
 
+#include <exception>
 #include <memory>
+#include <span>
 
+#include "histcc/hist/histogram.hpp"
 #include "histcc/omp/epoch_check.hpp"
 #include "histcc/util/math.hpp"
 #include "histcc/util/require.hpp"
@@ -26,11 +29,6 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
   HISTCC_REQUIRE(k >= 2 && k <= 256 && util::is_pow2(k),
                  "grey-level count must be a power of two in [2, 256]");
   const auto px = image.pixels();
-  // Host-side precondition check up front so the parallel loop is clean.
-  for (const auto value : px) {
-    HISTCC_REQUIRE(value < k, "pixel value exceeds grey-level count");
-  }
-
   std::vector<std::uint32_t> counts(k, 0);
 #ifdef _OPENMP
   // Explicit counts are requests, not guarantees: under TSan they shrink
@@ -41,6 +39,9 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
   // structure is the paper's publication discipline verbatim: tally into
   // your own block, barrier, reduce everyone's blocks.
   std::vector<std::uint32_t> partial(static_cast<std::size_t>(nt) * k, 0);
+  // An exception must not leave the parallel region: each thread parks
+  // its tally's contract_error here and the host rethrows after the join.
+  std::vector<std::exception_ptr> failed(nt);
 
   std::unique_ptr<EpochChecker> chk;
   std::shared_ptr<splitc::ArrayShadow> sh_partial;
@@ -54,16 +55,25 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
 #pragma omp parallel num_threads(nt)
   {
     const auto t = static_cast<unsigned>(omp_get_thread_num());
-    auto* mine = partial.data() + static_cast<std::size_t>(t) * k;
-#pragma omp for schedule(static)
-    for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(px.size());
-         ++idx) {
-      ++mine[px[static_cast<std::size_t>(idx)]];
+    // A contiguous static slice of the pixels per thread; tally keeps its
+    // sub-tables private and writes this thread's k bars once.
+    const std::size_t lo = px.size() * t / nt;
+    const std::size_t hi = px.size() * (t + 1) / nt;
+    try {
+      hist::tally(px.subspan(lo, hi - lo),
+                  std::span(partial).subspan(static_cast<std::size_t>(t) * k,
+                                             k),
+                  k);
+    } catch (...) {
+      failed[t] = std::current_exception();
     }
-    // (implied barrier at the end of the omp for)
+    // Publish the tallies: epoch_barrier is the team barrier when the
+    // checker runs, a plain omp barrier otherwise.
     if (chk) {
       chk->note_write(*sh_partial, t, static_cast<std::size_t>(t) * k, k);
       chk->epoch_barrier(t);
+    } else {
+#pragma omp barrier
     }
     // Parallel reduction over grey levels: thread t combines column g of
     // every tally block for its slice of [0, k).  Manual static ranges so
@@ -82,10 +92,13 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
       chk->note_write(*sh_counts, t, g_begin, g_end - g_begin);
     }
   }
+  for (const auto& error : failed) {
+    if (error) std::rethrow_exception(error);
+  }
   if (chk) chk->throw_if_conflicts();
 #else
   (void)threads;
-  for (const auto value : px) ++counts[value];
+  hist::tally(px, counts, k);
 #endif
   return counts;
 }

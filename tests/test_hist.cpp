@@ -1,11 +1,15 @@
-// Tests for histogramming (Section 4): sequential reference, the parallel
-// algorithm across p and k regimes (k < p, k = p, k > p), the paper's
-// correctness criteria (sum = n^2, exact band areas), and equalization.
+// Tests for histogramming (Section 4): sequential reference, the local
+// tally kernel against it, the parallel algorithm across p and k regimes
+// (k < p, k = p, k > p), the paper's correctness criteria (sum = n^2,
+// exact band areas), and equalization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "histcc/hist/equalize.hpp"
 #include "histcc/hist/histogram.hpp"
@@ -44,6 +48,83 @@ TEST(HistogramSeqTest, RejectsOutOfRangePixels) {
   im::GreyImage image(4, 4, 0);
   image(1, 1) = 9;
   EXPECT_THROW((void)hh::histogram_seq(image, 8),
+               histcc::util::contract_error);
+}
+
+namespace {
+
+/// A 1 x len image of pseudo-random levels below k.
+im::GreyImage random_row(std::uint32_t len, std::uint32_t k,
+                         std::uint64_t seed) {
+  im::GreyImage image(1, len);
+  histcc::util::Rng rng(seed);
+  for (auto& px : image.pixels()) {
+    px = static_cast<std::uint8_t>(rng.next_below(k));
+  }
+  return image;
+}
+
+}  // namespace
+
+// tally against the independent one-pass loop: every length around the
+// four-way unroll, a long ragged tail, and a full DARPA-like frame (long
+// runs of one level) requantized to k levels.
+TEST(TallyTest, MatchesSequentialHistogram) {
+  for (const std::uint32_t k : {2u, 16u, 256u}) {
+    std::vector<im::GreyImage> images;
+    for (std::uint32_t len = 0; len <= 9; ++len) {
+      images.push_back(random_row(len, k, 100 + len));
+    }
+    images.push_back(random_row(4097, k, 7));
+    auto frame = im::make_darpa_like(1024);
+    const auto shift = static_cast<unsigned>(8 - std::countr_zero(k));
+    for (auto& px : frame.pixels()) {
+      px = static_cast<std::uint8_t>(px >> shift);
+    }
+    images.push_back(std::move(frame));
+    for (const auto& image : images) {
+      std::vector<std::uint32_t> counts(k, 0);
+      hh::tally(image.pixels(), counts, k);
+      EXPECT_EQ(counts, hh::histogram_seq(image, k))
+          << image.size() << " px, k=" << k;
+    }
+  }
+}
+
+TEST(TallyTest, AddsIntoCounts) {
+  const std::uint32_t k = 16;
+  const auto image = random_row(4097, k, 11);
+  std::vector<std::uint32_t> counts(k);
+  std::iota(counts.begin(), counts.end(), 1000u);
+  hh::tally(image.pixels(), counts, k);
+  const auto expected = hh::histogram_seq(image, k);
+  for (std::uint32_t g = 0; g < k; ++g) {
+    EXPECT_EQ(counts[g], 1000u + g + expected[g]) << "bar " << g;
+  }
+}
+
+// The bad level may sit in any of the four sub-tables or in the scalar
+// tail; each throws, and the output bars are left as they were.
+TEST(TallyTest, OutOfRangePixelThrowsAtEveryPosition) {
+  const std::uint32_t k = 16;
+  const std::uint32_t len = 4 * 4 + 3;  // four unrolled rounds + 3-px tail
+  for (std::uint32_t bad = 0; bad < len; ++bad) {
+    auto image = random_row(len, k, 5);
+    image.pixels()[bad] = static_cast<std::uint8_t>(bad % 2 == 0 ? k : 255);
+    std::vector<std::uint32_t> counts(k, 7);
+    EXPECT_THROW(hh::tally(image.pixels(), counts, k),
+                 histcc::util::contract_error)
+        << "bad pixel at " << bad;
+    EXPECT_EQ(counts, std::vector<std::uint32_t>(k, 7));
+  }
+}
+
+TEST(TallyTest, RejectsBadArguments) {
+  const auto image = random_row(8, 4, 1);
+  std::vector<std::uint32_t> counts(4, 0);
+  EXPECT_THROW(hh::tally(image.pixels(), counts, 3),
+               histcc::util::contract_error);
+  EXPECT_THROW(hh::tally(image.pixels(), counts, 8),  // counts too short
                histcc::util::contract_error);
 }
 
@@ -143,15 +224,29 @@ TEST(HistParallelTest, CommVolumeBoundedByTwoK) {
 }
 
 TEST(HistParallelTest, OutOfRangePixelFailsCleanly) {
-  im::GreyImage image(64, 64, 0);
-  image(10, 10) = 200;  // >= k below
-  sc::Machine machine(4);
-  EXPECT_THROW((void)hh::histogram_parallel(machine, image, 16),
-               histcc::util::contract_error);
-  // The machine must remain usable after the aborted SPMD program.
-  const auto counts =
-      hh::histogram_parallel(machine, im::make_random_grey(64, 16, 9), 16);
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 64u * 64u);
+  // The bad pixel is the last pixel of the last non-empty tile, which at
+  // p = 16 on 1000 x 3 is not rank p - 1 (grid column 3 is empty).
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {{64, 64},
+                                                            {1000, 3}};
+  for (const std::uint32_t p : {1u, 4u, 16u}) {
+    sc::Machine machine(p);
+    for (const auto& [h, w] : shapes) {
+      const im::TileLayout layout(h, w, p);
+      std::uint32_t rank = p - 1;
+      while (layout.tile_size(rank) == 0) --rank;
+      im::GreyImage image(h, w, 0);
+      image(layout.global_row(rank, layout.tile_rows(rank) - 1),
+            layout.global_col(rank, layout.tile_cols(rank) - 1)) = 200;
+      EXPECT_THROW((void)hh::histogram_parallel(machine, image, 16),
+                   histcc::util::contract_error)
+          << h << "x" << w << " p=" << p << " rank " << rank;
+      // The machine must remain usable after the aborted SPMD program.
+      const auto good = im::make_random_grey(64, 16, 9);
+      EXPECT_EQ(hh::histogram_parallel(machine, good, 16),
+                hh::histogram_seq(good, 16))
+          << h << "x" << w << " p=" << p;
+    }
+  }
 }
 
 TEST(EqualizeTest, MapIsMonotonic) {

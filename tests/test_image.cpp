@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "histcc/image/generators.hpp"
 #include "histcc/image/image.hpp"
@@ -199,6 +200,56 @@ TEST(ScatterTest, TilePixelsRowMajor) {
   EXPECT_EQ(block[4], image(5, 4));
   EXPECT_EQ(block[15], image(7, 7));
 }
+
+// Placement, not just round trip: a scatter and a gather that misplace
+// pixels the same way would still round-trip.  Each pixel holds its
+// raster index + 1, which is exactly the initial label of its position,
+// so every block element can be checked against the layout arithmetic.
+// The Spread follows the machine's SpreadLayout (HISTCC_SPREAD_LAYOUT),
+// so strided blocks also check that nothing lands past the tile.
+class ScatterPlacementTest : public ::testing::TestWithParam<std::uint32_t> {
+};
+
+TEST_P(ScatterPlacementTest, EveryElementLandsAtItsInitialLabel) {
+  const std::uint32_t p = GetParam();
+  sc::Machine machine(p);
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {1, 1}, {7, 513}, {97, 63}, {1000, 3}};
+  for (const auto& [h, w] : shapes) {
+    const im::TileLayout layout(h, w, p);
+    im::LabelImage image(h, w);
+    for (std::uint32_t idx = 0; idx < image.size(); ++idx) {
+      image.pixels()[idx] = idx + 1;
+    }
+    sc::Spread<std::uint32_t> tiles(machine, layout.tile_sizes(),
+                                    "placement");
+    layout.scatter(image, tiles);
+    for (std::uint32_t rank = 0; rank < p; ++rank) {
+      const auto block = std::as_const(tiles).block(rank);
+      const std::uint32_t q = layout.tile_rows(rank);
+      const std::uint32_t r = layout.tile_cols(rank);
+      for (std::uint32_t i = 0; i < q; ++i) {
+        for (std::uint32_t j = 0; j < r; ++j) {
+          ASSERT_EQ(block[static_cast<std::size_t>(i) * r + j],
+                    layout.initial_label(rank, i, j))
+              << h << "x" << w << " p=" << p << " rank " << rank << " ("
+              << i << ", " << j << ")";
+        }
+      }
+      // Empty tiles (and any strided padding) stay zero.
+      for (std::size_t idx = layout.tile_size(rank); idx < block.size();
+           ++idx) {
+        ASSERT_EQ(block[idx], 0u)
+            << h << "x" << w << " p=" << p << " rank " << rank << " slot "
+            << idx;
+      }
+    }
+    EXPECT_EQ(layout.gather(tiles), image) << h << "x" << w << " p=" << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Procs, ScatterPlacementTest,
+                         ::testing::Values(1, 4, 16));
 
 class PatternTest : public ::testing::TestWithParam<int> {};
 

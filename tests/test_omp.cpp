@@ -70,6 +70,23 @@ TEST(OmpHistTest, RejectsBadInputs) {
                histcc::util::contract_error);
 }
 
+// Each thread tallies a contiguous slice, so the last pixel lies in the
+// last thread's slice; its contract_error must cross the parallel region
+// to the caller, and the next call must run normally.
+TEST(OmpHistTest, OutOfRangePixelInLastThreadThrows) {
+  for (const unsigned threads : {1u, 3u, 4u, 7u}) {
+    auto image = im::make_random_grey(64, 16, threads);
+    image(63, 63) = 16;
+    EXPECT_THROW((void)ho::histogram_omp(image, 16, threads),
+                 histcc::util::contract_error)
+        << threads << " threads";
+    image(63, 63) = 15;
+    EXPECT_EQ(ho::histogram_omp(image, 16, threads),
+              hh::histogram_seq(image, 16))
+        << threads << " threads";
+  }
+}
+
 class OmpCcSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(OmpCcSweep, MatchesBfsOnCatalog) {
