@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "histcc/trace/export.hpp"
@@ -362,30 +363,47 @@ int main(int argc, char** argv) {
 
   // The local CC kernels on one 512x512 tile — the tile each rank of a
   // p = 4 run over the 1024x1024 scene labels — in ns per pixel, so
-  // bench_diff gates this layer apart from the end-to-end records.
+  // bench_diff gates this layer apart from the end-to-end records.  The
+  // DARPA-like tile carries both kernels; the binary percolation tile at
+  // 0.59 (the frame that dominates perfbench's frame_cc) and the random
+  // 16-level same-colour tile (≈0.9 runs per pixel, the run scan's worst
+  // case) carry the labeling.
   {
     constexpr std::uint32_t kTile = 512;
-    bench::TileKernels tile(kTile);
-    const auto label = bench::sample(21, [&] {
-      tile.label();
-      benchmark::DoNotOptimize(tile.labels().data());
-      benchmark::ClobberMemory();
-    });
-    bench::TileKernels merged(kTile);
+    const auto time_label = [](bench::TileKernels& tile) {
+      return bench::sample(21, [&] {
+        tile.label();
+        benchmark::DoNotOptimize(tile.labels().data());
+        benchmark::ClobberMemory();
+      });
+    };
+    bench::TileKernels darpa(kTile);
+    bench::TileKernels perc(img::make_percolation(kTile, 0.59, 11),
+                            ccseq::ColourRule::kBinary);
+    bench::TileKernels grey16(img::make_random_grey(kTile, 16, 11),
+                              ccseq::ColourRule::kSameColour);
     const auto final_pass = bench::sample(21, [&] {
-      merged.final_pass();
-      benchmark::DoNotOptimize(merged.labels().data());
+      darpa.final_pass();
+      benchmark::DoNotOptimize(darpa.labels().data());
       benchmark::ClobberMemory();
     });
-    std::printf("CC tile kernels, %ux%u DARPA-like tile:\n", kTile, kTile);
-    for (const auto& [name, timing] :
-         {std::pair{"kernel_label_tile", label},
-          std::pair{"kernel_final_pass", final_pass}}) {
-      const double ns_per_px = timing.min_s * 1e9 / tile.pixels();
+    std::printf("CC tile kernels, %ux%u tiles, 8-connected:\n", kTile, kTile);
+    const std::tuple<const char*, const bench::TileKernels*, bench::Timing>
+        rows[] = {
+            {"kernel_label_tile", &darpa, time_label(darpa)},
+            {"kernel_label_tile_perc", &perc, time_label(perc)},
+            {"kernel_label_tile_grey16", &grey16, time_label(grey16)},
+            {"kernel_final_pass", &darpa, final_pass},
+        };
+    for (const auto& [name, tile, timing] : rows) {
+      const double ns_per_px = timing.min_s * 1e9 / tile->pixels();
       json.add(std::string(name) + "_n" + std::to_string(kTile), 1,
                timing.mean_s * 1e9, timing.min_s * 1e9,
-               tile.pixels() / timing.mean_s, {{"ns_per_px", ns_per_px}});
-      std::printf("  %-20s %8.2f ns/px\n", name, ns_per_px);
+               tile->pixels() / timing.mean_s,
+               {{"ns_per_px", ns_per_px},
+                {"runs_per_px", tile->runs() / tile->pixels()}});
+      std::printf("  %-26s %8.2f ns/px  (%.2f runs/px)\n", name, ns_per_px,
+                  tile->runs() / tile->pixels());
     }
     std::printf("\n");
   }

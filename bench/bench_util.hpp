@@ -229,20 +229,42 @@ inline std::vector<img::GreyImage> catalog_images(std::uint32_t n) {
   return images;
 }
 
-/// The local CC kernels on one n x n tile of the DARPA-like scene, as the
-/// parallel algorithm runs them: `label()` is the Section 5.1 tile
-/// labeling (ccseq::label_tile), `final_pass()` the total-consistency
-/// update (cc::relabel_interior) after a merge that changed every
-/// border-touching component.  The tile stands for the bottom-right one
-/// of a 2n x 2n image, so its initial labels start past n*n and each
-/// hook's final label (its initial label - n*n) names a component of
-/// another tile.  Repeated final passes do identical work.
+/// The local CC kernels on one n x n tile, as the parallel algorithm runs
+/// them (8-connected): `label()` is the Section 5.1 tile labeling
+/// (ccseq::label_tile: run scan + fill of every pixel), `final_pass()` the
+/// total-consistency update (cc::relabel_interior: the hook change table
+/// applied once per run in one fill of the tile) after a merge that
+/// changed every border-touching component.  The tile stands for the
+/// bottom-right one of a 2n x 2n image, so its initial labels start past
+/// n*n and each hook's final label (its initial label - n*n) names a
+/// component of another tile.  Repeated calls do identical work.
 class TileKernels {
+  /// Initial labels of the tile (row-major index past n*n, plus 1).
+  struct Seed {
+    std::uint32_t n;
+    std::uint32_t operator()(std::uint32_t i, std::uint32_t j) const {
+      return n * n + i * n + j + 1;
+    }
+  };
+
  public:
+  /// The DARPA-like scene under the same-colour rule.
   explicit TileKernels(std::uint32_t n)
-      : n_(n), scene_(img::make_darpa_like(n)), labels_(scene_.size()) {
+      : TileKernels(img::make_darpa_like(n), ccseq::ColourRule::kSameColour) {}
+
+  /// Any square scene under `rule`.
+  TileKernels(img::GreyImage scene, ccseq::ColourRule rule)
+      : n_(scene.width()),
+        rule_(rule),
+        scene_(std::move(scene)),
+        labels_(scene_.size()) {
     label();
-    const auto offsets = cc::tile_border_offsets(n, n);
+    std::vector<std::uint32_t> scratch(scene_.size());
+    runs_.scan(scene_.pixels(), n_, n_, ccseq::Connectivity::kEight, rule_,
+               scratch);
+    runs_.resolve(Seed{n_});
+    runs_.detach();
+    const auto offsets = cc::tile_border_offsets(n_, n_);
     hooks_ = cc::make_tile_hooks(scene_.pixels(), labels_, offsets);
     std::vector<cc::ChangePair> merged;
     for (const auto& hook : hooks_) {
@@ -250,19 +272,15 @@ class TileKernels {
     }
     cc::update_border_labels(labels_, scene_.pixels(), offsets, merged);
   }
+  TileKernels(const TileKernels&) = delete;  // runs_ views scene_
+  TileKernels& operator=(const TileKernels&) = delete;
 
   void label() {
-    const std::uint32_t n = n_;
-    const std::uint32_t base = offset();
-    ccseq::label_tile(scene_.pixels(), labels_, n, n,
-                      ccseq::Connectivity::kEight,
-                      ccseq::ColourRule::kSameColour,
-                      [n, base](std::uint32_t i, std::uint32_t j) {
-                        return base + i * n + j + 1;
-                      });
+    ccseq::label_tile(scene_.pixels(), labels_, n_, n_,
+                      ccseq::Connectivity::kEight, rule_, Seed{n_});
   }
 
-  void final_pass() { cc::relabel_interior(labels_, scene_.pixels(), hooks_); }
+  void final_pass() { cc::relabel_interior(labels_, runs_, hooks_); }
 
   [[nodiscard]] const std::vector<std::uint32_t>& labels() const noexcept {
     return labels_;
@@ -270,13 +288,18 @@ class TileKernels {
   [[nodiscard]] double pixels() const noexcept {
     return static_cast<double>(scene_.size());
   }
+  [[nodiscard]] double runs() const noexcept {
+    return static_cast<double>(runs_.run_count());
+  }
 
  private:
   [[nodiscard]] std::uint32_t offset() const noexcept { return n_ * n_; }
 
   std::uint32_t n_;
+  ccseq::ColourRule rule_;
   img::GreyImage scene_;
   std::vector<std::uint32_t> labels_;
+  ccseq::TileRuns runs_;
   std::vector<cc::TileHook> hooks_;
 };
 

@@ -14,11 +14,13 @@
 ///      positions i <-> i for 4-connectivity, i <-> {i-1, i, i+1} for
 ///      8-connectivity.
 /// Each vertex has at most five incident edges, exactly as the paper
-/// argues.  A sequential BFS labels the graph; every component keeps its
-/// minimum label (which preserves the library-wide canonical labeling),
-/// and every other label in the component yields a change pair
-/// (alpha -> beta).  Procedure 1 (radix sort by alpha + unique scan)
-/// produces the sorted change array the clients consume.
+/// argues.  The paper labels the graph with a sequential BFS; here a flat
+/// union-find over the 2s vertices (no per-vertex adjacency lists) finds
+/// the same components.  Every component keeps its minimum label (which
+/// preserves the library-wide canonical labeling), and every other label
+/// in the component yields a change pair (alpha -> beta).  Procedure 1
+/// (radix sort by alpha + unique scan) produces the sorted change array
+/// the clients consume.
 
 #include <cstdint>
 #include <span>
@@ -52,7 +54,7 @@ struct BorderSide {
     const BorderSide& side);
 
 /// Build the border graph from the two sides and their label-sorted
-/// permutations, run sequential BFS connected components on it, and return
+/// permutations, find its connected components (union-find), and return
 /// the sorted unique change array (Procedure 1).  `lo` is the left/upper
 /// side, `hi` the right/lower side; both must have equal length.
 [[nodiscard]] std::vector<ChangePair> merge_border(

@@ -20,6 +20,7 @@
 
 #include "histcc/cc/border_graph.hpp"
 #include "histcc/cc_seq/common.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 
 namespace histcc::cc {
 
@@ -58,15 +59,15 @@ void update_all_labels(std::span<std::uint32_t> labels,
 
 /// Final total-consistency update: every hook whose border pixel now
 /// carries a label different from the hook's yields the change
-/// (hook label -> current label), and one `update_all_labels` pass applies
-/// that table to the whole tile.  Initial labels are unique per component,
-/// and a final label equal to an in-tile initial label means that
-/// component kept its label, so no final label is a key of the table:
-/// changes never chain and pixels that are already final stay put.
-/// O(qr log H) for H hooks.
+/// (hook label -> current label), and one fill of the tile from its run
+/// table applies that table once per run, writing every pixel once.
+/// Initial labels are unique per component, and a final label equal to an
+/// in-tile initial label means that component kept its label, so no final
+/// label is a key of the table: changes never chain, and the border pixels
+/// (already final) are rewritten with the labels they hold.  `runs` is the
+/// tile's resolved run table; O(qr + R log H) for R runs and H hooks.
 void relabel_interior(std::span<std::uint32_t> labels,
-                      std::span<const std::uint8_t> pixels,
-                      std::span<const TileHook> hooks);
+                      ccseq::TileRuns& runs, std::span<const TileHook> hooks);
 
 }  // namespace histcc::cc
 

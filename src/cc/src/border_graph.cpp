@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/sortutil/radix.hpp"
 #include "histcc/util/require.hpp"
 
@@ -14,45 +15,15 @@ struct LabelPos {
   std::uint32_t pos;
 };
 
-/// Vertex numbering: coloured pixel at position i on the lo side is vertex
-/// i; on the hi side it is vertex s + i, where s is the side length.
-/// Background positions simply have no edges and are never seeded.
-class BorderGraph {
- public:
-  BorderGraph(std::size_t side_len) : side_len_(side_len) {
-    adjacency_.resize(2 * side_len);
-  }
-
-  void add_edge(std::uint32_t a, std::uint32_t b) {
-    adjacency_[a].push_back(b);
-    adjacency_[b].push_back(a);
-  }
-
-  [[nodiscard]] std::span<const std::uint32_t> neighbours(
-      std::uint32_t vertex) const noexcept {
-    return adjacency_[vertex];
-  }
-
-  [[nodiscard]] std::size_t vertex_count() const noexcept {
-    return 2 * side_len_;
-  }
-
- private:
-  std::size_t side_len_;
-  // At most 5 edges per vertex (2 same-label chain + 3 across-border), so
-  // the small vectors stay tiny.
-  std::vector<std::vector<std::uint32_t>> adjacency_;
-};
-
 /// Chain consecutive same-label entries of a label-sorted side (edge type 1).
-void add_chain_edges(BorderGraph& graph, const BorderSide& side,
+void add_chain_edges(ccseq::DisjointSets& sets, const BorderSide& side,
                      std::span<const std::uint32_t> sorted,
                      std::uint32_t vertex_base) {
   for (std::size_t s = 1; s < sorted.size(); ++s) {
     const std::uint32_t prev = sorted[s - 1];
     const std::uint32_t cur = sorted[s];
     if (side.labels[prev] == side.labels[cur]) {
-      graph.add_edge(vertex_base + prev, vertex_base + cur);
+      sets.unite(vertex_base + prev, vertex_base + cur);
     }
   }
 }
@@ -90,11 +61,14 @@ std::vector<ChangePair> merge_border(const BorderSide& lo,
                  "border side pixel/label length mismatch");
   const std::size_t s = lo.pixels.size();
   const auto side_len = static_cast<std::uint32_t>(s);
-  BorderGraph graph(s);
+  // The graph's components as a flat disjoint-set forest over the 2s
+  // vertices: coloured pixel i of the lo side is vertex i, of the hi side
+  // s + i; background vertices stay singletons.
+  ccseq::DisjointSets sets(2 * s);
 
   // Edge type 1: same-label chains within each side.
-  add_chain_edges(graph, lo, lo_sorted, 0);
-  add_chain_edges(graph, hi, hi_sorted, side_len);
+  add_chain_edges(sets, lo, lo_sorted, 0);
+  add_chain_edges(sets, hi, hi_sorted, side_len);
 
   // Edge type 2: like-coloured pixels adjacent across the border.
   const bool eight = conn == ccseq::Connectivity::kEight;
@@ -104,49 +78,31 @@ std::vector<ChangePair> merge_border(const BorderSide& lo,
     auto link = [&](std::uint32_t j) {
       if (hi.pixels[j] == 0) return;
       if (same_colour && hi.pixels[j] != lo.pixels[i]) return;
-      graph.add_edge(i, side_len + j);
+      sets.unite(i, side_len + j);
     };
     if (eight && i > 0) link(i - 1);
     link(i);
     if (eight && i + 1 < s) link(i + 1);
   }
 
-  // Sequential BFS connected components over the graph; each component
-  // keeps its minimum label.
-  auto label_of = [&](std::uint32_t vertex) {
-    return vertex < side_len ? lo.labels[vertex]
-                             : hi.labels[vertex - side_len];
+  // Every graph component keeps its minimum label; each other label in it
+  // yields a change.
+  auto each_coloured = [&](auto&& visit) {
+    for (std::uint32_t i = 0; i < s; ++i) {
+      if (lo.pixels[i] != 0) visit(i, lo.labels[i]);
+      if (hi.pixels[i] != 0) visit(side_len + i, hi.labels[i]);
+    }
   };
-  auto colour_of = [&](std::uint32_t vertex) {
-    return vertex < side_len ? lo.pixels[vertex]
-                             : hi.pixels[vertex - side_len];
-  };
-
-  std::vector<std::uint8_t> visited(graph.vertex_count(), 0);
-  std::vector<std::uint32_t> queue;
+  std::vector<std::uint32_t> min_label(2 * s, UINT32_MAX);  // at roots
+  each_coloured([&](std::uint32_t v, std::uint32_t label) {
+    std::uint32_t& m = min_label[sets.find(v)];
+    m = std::min(m, label);
+  });
   std::vector<ChangePair> raw_changes;
-
-  for (std::uint32_t seed = 0; seed < graph.vertex_count(); ++seed) {
-    if (visited[seed] || colour_of(seed) == 0) continue;
-    queue.clear();
-    queue.push_back(seed);
-    visited[seed] = 1;
-    std::uint32_t rep = label_of(seed);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (const auto next : graph.neighbours(queue[head])) {
-        if (visited[next]) continue;
-        visited[next] = 1;
-        rep = std::min(rep, label_of(next));
-        queue.push_back(next);
-      }
-    }
-    for (const auto vertex : queue) {
-      const std::uint32_t old_label = label_of(vertex);
-      if (old_label != rep) {
-        raw_changes.push_back(ChangePair{old_label, rep});
-      }
-    }
-  }
+  each_coloured([&](std::uint32_t v, std::uint32_t label) {
+    const std::uint32_t rep = min_label[sets.find(v)];
+    if (label != rep) raw_changes.push_back(ChangePair{label, rep});
+  });
 
   // Procedure 1: radix sort the pairs by alpha, scan out unique pairs.
   sortutil::hybrid_sort_by(raw_changes,

@@ -82,8 +82,7 @@ void update_all_labels(std::span<std::uint32_t> labels,
 }
 
 void relabel_interior(std::span<std::uint32_t> labels,
-                      std::span<const std::uint8_t> pixels,
-                      std::span<const TileHook> hooks) {
+                      ccseq::TileRuns& runs, std::span<const TileHook> hooks) {
   // Hooks are sorted by label, so the change table comes out alpha-sorted.
   std::vector<ChangePair> changes;
   for (const auto& hook : hooks) {
@@ -92,7 +91,16 @@ void relabel_interior(std::span<std::uint32_t> labels,
       changes.push_back(ChangePair{hook.label, current});
     }
   }
-  update_all_labels(labels, pixels, changes);
+  // Neighbouring runs often share a component, so cache the last lookup.
+  std::uint32_t last_label = 0;
+  std::uint32_t last_result = apply_changes(changes, 0);
+  runs.fill(labels, 0, runs.rows(), [&](std::uint32_t label) {
+    if (label != last_label) {
+      last_label = label;
+      last_result = apply_changes(changes, label);
+    }
+    return last_result;
+  });
 }
 
 }  // namespace histcc::cc

@@ -21,12 +21,13 @@ namespace {
 // construction cost a few ops per element.
 constexpr std::uint64_t kOpsPerLabeledPixel = 12;   // init scan + hooks
 constexpr std::uint64_t kOpsPerSortedBorderElem = 3;   // pack + radix sort
-constexpr std::uint64_t kOpsPerMergedBorderElem = 10;  // graph + BFS + changes
+constexpr std::uint64_t kOpsPerMergedBorderElem = 10;  // graph + union-find + changes
 constexpr std::uint64_t kOpsPerBorderUpdate = 4;       // binary search step
 constexpr std::uint64_t kOpsPerRelabeledPixel = 6;     // final table lookup
 
 /// Everything one virtual processor needs across the merge iterations.
 struct ProcState {
+  ccseq::TileRuns runs;  ///< my tile's run table, from init to final
   std::vector<std::uint32_t> border_offsets;  ///< my tile's border pixels
   std::vector<TileHook> hooks;
   // Manager-side staging for one merge.
@@ -79,11 +80,21 @@ void connected_components_parallel(splitc::Machine& machine,
     auto my_lb = labels.local(self);
     TRACE_SPAN(self, "cc/init") {
       if (nonempty) {
-        ccseq::label_tile(
-            my_px, my_lb, q, r, options.connectivity, options.rule,
-            [&](std::uint32_t i, std::uint32_t j) {
-              return layout.initial_label(rank, i, j);
-            });
+        // The scan borrows my label block, so the table is allocated once,
+        // at its final size.  Only the border's labels are read before the
+        // final step, so the interior is written once, there (the ablation
+        // writes it all now).
+        st.runs.scan(my_px, q, r, options.connectivity, options.rule,
+                     my_lb.first(layout.tile_size(rank)));
+        st.runs.resolve([&](std::uint32_t i, std::uint32_t j) {
+          return layout.initial_label(rank, i, j);
+        });
+        st.runs.detach();
+        if (options.full_relabel_each_phase) {
+          st.runs.fill(my_lb, 0, q, [](std::uint32_t l) { return l; });
+        } else {
+          st.runs.fill_border(my_lb);
+        }
         st.border_offsets = tile_border_offsets(q, r);
         st.hooks = make_tile_hooks(my_px, my_lb, st.border_offsets);
         labels.note_local_write(self);  // race-ledger epoch annotation
@@ -293,7 +304,7 @@ void connected_components_parallel(splitc::Machine& machine,
     // -------- Total consistency update --------
     TRACE_SPAN(self, "cc/final") {
       if (!options.full_relabel_each_phase && nonempty) {
-        relabel_interior(my_lb.first(layout.tile_size(rank)), my_px,
+        relabel_interior(my_lb.first(layout.tile_size(rank)), st.runs,
                          st.hooks);
         labels.note_local_write(self);  // race-ledger epoch annotation
         self.charge_ops(kOpsPerRelabeledPixel * layout.tile_size(rank));

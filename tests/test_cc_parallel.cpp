@@ -5,14 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "histcc/cc/parallel_cc.hpp"
 #include "histcc/cc_seq/analysis.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/hoshen_kopelman.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/splitc/machine.hpp"
 #include "histcc/trace/trace.hpp"
+#include "histcc/util/math.hpp"
+#include "run_images.hpp"
 
 namespace cc = histcc::cc;
 namespace cs = histcc::ccseq;
@@ -210,5 +218,97 @@ TEST(CcParallelTest, ValidLabelingOnEveryPattern) {
                                       cs::Connectivity::kEight,
                                       cs::ColourRule::kBinary))
         << "pattern " << id;
+  }
+}
+
+TEST(CcParallelTest, RunBoundariesMatchOracles) {
+  // Every tile exactly one of the widths around the 64-pixel mask words,
+  // with runs at its first and last columns, on and across the word
+  // boundaries, and as dense as they get; the ablation that fills whole
+  // tiles at init rides along.
+  constexpr std::uint32_t kTileRows = 5;
+  for (const std::uint32_t p : {1u, 4u, 16u}) {
+    sc::Machine machine(p);
+    const auto grid = histcc::util::grid_shape(p);
+    for (const std::uint32_t width : histcc::testing::kRunTileWidths) {
+      for (const auto& [name, image] : histcc::testing::run_boundary_images(
+               kTileRows * grid.rows, width * grid.cols, width)) {
+        for (const auto rule :
+             {cs::ColourRule::kBinary, cs::ColourRule::kSameColour}) {
+          for (const auto conn :
+               {cs::Connectivity::kFour, cs::Connectivity::kEight}) {
+            const auto bfs = cs::label_components_bfs(image, conn, rule);
+            const std::string what =
+                name + " width " + std::to_string(width) + " p=" +
+                std::to_string(p) + " conn " +
+                std::to_string(static_cast<int>(conn)) + " rule " +
+                std::to_string(static_cast<int>(rule));
+            ASSERT_EQ(cs::label_components_hoshen_kopelman(image, conn, rule),
+                      bfs)
+                << what;
+            for (const bool full : {false, true}) {
+              cc::CcOptions options;
+              options.connectivity = conn;
+              options.rule = rule;
+              options.full_relabel_each_phase = full;
+              ASSERT_EQ(
+                  cc::connected_components_parallel(machine, image, options),
+                  bfs)
+                  << what << (full ? " full relabel" : "");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CcParallelTest, BenchmarkFrameGeneratorsMatchBfs) {
+  // The end-to-end benchmark's frame_cc inputs (perfbench make_cc_frames,
+  // all 8-connected): a DARPA-like scene under the same-colour rule,
+  // binary percolation at 0.59 and the dual spiral, at 256x256 and as a
+  // 1000-row, 333-column crop.  Its oracle, label_components_unionfind,
+  // runs the same scan as the VM path, so both are checked against the
+  // independent BFS here, on the Machine(4) the benchmark uses.
+  sc::Machine machine(4);
+  const auto crop = [](const im::GreyImage& image, std::uint32_t cols) {
+    im::GreyImage out(image.height(), cols);
+    for (std::uint32_t i = 0; i < image.height(); ++i) {
+      for (std::uint32_t j = 0; j < cols; ++j) out(i, j) = image(i, j);
+    }
+    return out;
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const auto& [n, cols] : {std::pair{256u, 256u}, {1000u, 333u}}) {
+      std::vector<std::tuple<std::string, im::GreyImage, cs::ColourRule>>
+          frames;
+      frames.emplace_back("darpa", crop(im::make_darpa_like(n, seed), cols),
+                          cs::ColourRule::kSameColour);
+      frames.emplace_back("percolation",
+                          crop(im::make_percolation(n, 0.59, seed), cols),
+                          cs::ColourRule::kBinary);
+      if (seed == 1) {  // the spiral takes no seed
+        frames.emplace_back(
+            "spiral",
+            crop(im::make_test_pattern(im::TestPattern::kDualSpiral, n), cols),
+            cs::ColourRule::kBinary);
+      }
+      for (const auto& [name, image, rule] : frames) {
+        const std::string what = name + " " + std::to_string(n) + "x" +
+                                 std::to_string(cols) + " seed " +
+                                 std::to_string(seed);
+        const auto bfs =
+            cs::label_components_bfs(image, cs::Connectivity::kEight, rule);
+        EXPECT_EQ(cs::label_components_unionfind(
+                      image, cs::Connectivity::kEight, rule),
+                  bfs)
+            << what;
+        cc::CcOptions options;
+        options.rule = rule;
+        EXPECT_EQ(cc::connected_components_parallel(machine, image, options),
+                  bfs)
+            << what;
+      }
+    }
   }
 }

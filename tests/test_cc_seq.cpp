@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "histcc/cc_seq/analysis.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/hoshen_kopelman.hpp"
 #include "histcc/cc_seq/union_find.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/image/layout.hpp"
 #include "histcc/util/rng.hpp"
+#include "run_images.hpp"
 
 namespace cs = histcc::ccseq;
 namespace im = histcc::img;
@@ -225,57 +228,147 @@ TEST(LabelTileTest, NothingPastTheTileIsWritten) {
                                                bfs.pixels().end()));
 }
 
+namespace {
+
+/// Label every tile of `image` under `layout` with label_tile, seeded
+/// with the parallel algorithm's initial labels.  Each component's label
+/// must be initial_label at its first pixel, which BFS on the tile alone
+/// names as canonical label - 1 (Hoshen-Kopelman must agree with BFS),
+/// and seed_label must run once per component, in scan order.
+void expect_tiles_match_oracles(const im::GreyImage& image,
+                                const im::TileLayout& layout,
+                                cs::Connectivity conn, cs::ColourRule rule,
+                                const std::string& what) {
+  for (std::uint32_t rank = 0; rank < layout.nprocs(); ++rank) {
+    const std::uint32_t q = layout.tile_rows(rank);
+    const std::uint32_t r = layout.tile_cols(rank);
+    const auto px = tile_pixels(image, layout, rank);
+    std::vector<std::uint32_t> got(px.size());
+    std::vector<std::uint32_t> seeds;  // canonical labels, call order
+    cs::label_tile(px, got, q, r, conn, rule,
+                   [&](std::uint32_t i, std::uint32_t j) {
+                     seeds.push_back(i * r + j + 1);
+                     return layout.initial_label(rank, i, j);
+                   });
+    if (px.empty()) continue;
+    im::GreyImage tile(q, r);
+    std::copy(px.begin(), px.end(), tile.pixels().begin());
+    const auto bfs = cs::label_components_bfs(tile, conn, rule);
+    ASSERT_EQ(cs::label_components_hoshen_kopelman(tile, conn, rule), bfs)
+        << what << " rank " << rank;
+    std::vector<std::uint32_t> want_seeds(bfs.pixels().begin(),
+                                          bfs.pixels().end());
+    std::sort(want_seeds.begin(), want_seeds.end());
+    want_seeds.erase(std::unique(want_seeds.begin(), want_seeds.end()),
+                     want_seeds.end());
+    if (want_seeds.front() == 0) want_seeds.erase(want_seeds.begin());
+    ASSERT_EQ(seeds, want_seeds) << what << " rank " << rank;
+    for (std::size_t k = 0; k < px.size(); ++k) {
+      const std::uint32_t b = bfs.pixels()[k];
+      const std::uint32_t want =
+          b == 0 ? 0 : layout.initial_label(rank, (b - 1) / r, (b - 1) % r);
+      ASSERT_EQ(got[k], want) << what << " rank " << rank << " pixel " << k;
+    }
+  }
+}
+
+constexpr cs::Connectivity kConns[] = {cs::Connectivity::kFour,
+                                       cs::Connectivity::kEight};
+constexpr cs::ColourRule kRules[] = {cs::ColourRule::kBinary,
+                                     cs::ColourRule::kSameColour};
+
+}  // namespace
+
 TEST(LabelTileTest, MatchesBfsOnRaggedTilesWithInitialLabels) {
-  // Ragged layouts (edge tiles shrink, some to nothing) labeled tile by
-  // tile with the parallel algorithm's initial labels: each component's
-  // label must be initial_label at its first pixel, which BFS on the tile
-  // alone names as canonical label - 1, and seed_label must run once per
-  // component, in scan order.
+  // Ragged layouts (edge tiles shrink, some to nothing).
   const std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>
       shapes{{37, 53, 8}, {5, 61, 16}, {61, 5, 4}, {33, 33, 16}};
   for (const auto& [h, w, p] : shapes) {
     const im::TileLayout layout(h, w, p);
-    for (const auto rule :
-         {cs::ColourRule::kBinary, cs::ColourRule::kSameColour}) {
+    for (const auto rule : kRules) {
       const std::uint32_t levels = rule == cs::ColourRule::kBinary ? 2 : 4;
       const auto image = random_image(h, w, levels, h * 1000 + w + levels);
-      for (const auto conn :
-           {cs::Connectivity::kFour, cs::Connectivity::kEight}) {
-        for (std::uint32_t rank = 0; rank < p; ++rank) {
-          const std::uint32_t q = layout.tile_rows(rank);
-          const std::uint32_t r = layout.tile_cols(rank);
-          const auto px = tile_pixels(image, layout, rank);
-          std::vector<std::uint32_t> got(px.size());
-          std::vector<std::uint32_t> seeds;  // canonical labels, call order
-          cs::label_tile(px, got, q, r, conn, rule,
-                         [&](std::uint32_t i, std::uint32_t j) {
-                           seeds.push_back(i * r + j + 1);
-                           return layout.initial_label(rank, i, j);
-                         });
-          if (px.empty()) continue;
-          im::GreyImage tile(q, r);
-          std::copy(px.begin(), px.end(), tile.pixels().begin());
-          const auto bfs = cs::label_components_bfs(tile, conn, rule);
-          std::vector<std::uint32_t> want_seeds(bfs.pixels().begin(),
-                                                bfs.pixels().end());
-          std::sort(want_seeds.begin(), want_seeds.end());
-          want_seeds.erase(
-              std::unique(want_seeds.begin(), want_seeds.end()),
-              want_seeds.end());
-          if (want_seeds.front() == 0) want_seeds.erase(want_seeds.begin());
-          ASSERT_EQ(seeds, want_seeds) << h << "x" << w << " p=" << p
-                                       << " rank " << rank;
-          for (std::size_t k = 0; k < px.size(); ++k) {
-            const std::uint32_t b = bfs.pixels()[k];
-            const std::uint32_t want =
-                b == 0 ? 0
-                       : layout.initial_label(rank, (b - 1) / r, (b - 1) % r);
-            ASSERT_EQ(got[k], want) << h << "x" << w << " p=" << p
-                                    << " rank " << rank << " pixel " << k;
-          }
+      for (const auto conn : kConns) {
+        expect_tiles_match_oracles(
+            image, layout, conn, rule,
+            std::to_string(h) + "x" + std::to_string(w) + " p=" +
+                std::to_string(p));
+      }
+    }
+  }
+}
+
+TEST(LabelTileTest, RunBoundariesMatchOracles) {
+  // 2x2 tiles of exactly each width around the 64-pixel mask words, with
+  // runs at the tile's first and last columns, on and across the word
+  // boundaries, and as dense as they get.
+  constexpr std::uint32_t kTileRows = 5;
+  for (const std::uint32_t width : histcc::testing::kRunTileWidths) {
+    const im::TileLayout layout(2 * kTileRows, 2 * width, 4);
+    ASSERT_EQ(layout.tile_cols(3), width);
+    for (const auto& [name, image] : histcc::testing::run_boundary_images(
+             2 * kTileRows, 2 * width, width)) {
+      for (const auto rule : kRules) {
+        for (const auto conn : kConns) {
+          expect_tiles_match_oracles(
+              image, layout, conn, rule,
+              name + " width " + std::to_string(width) + " conn " +
+                  std::to_string(static_cast<int>(conn)) + " rule " +
+                  std::to_string(static_cast<int>(rule)));
         }
       }
     }
+  }
+}
+
+TEST(TileRunsTest, BorderFillWritesOnlyTheBoundary) {
+  constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
+  const std::uint32_t rows = 9;
+  const std::uint32_t cols = 70;
+  const auto image = random_image(rows, cols, 3, 17);
+  for (const auto rule : kRules) {
+    for (const auto conn : kConns) {
+      cs::TileRuns runs;
+      std::vector<std::uint32_t> scratch(image.size());
+      runs.scan(image.pixels(), rows, cols, conn, rule, scratch);
+      runs.resolve(
+          [](std::uint32_t i, std::uint32_t j) { return i * cols + j + 1; });
+      std::vector<std::uint32_t> got(image.size(), kSentinel);
+      runs.fill_border(got);
+      const auto bfs = cs::label_components_bfs(image, conn, rule);
+      for (std::uint32_t i = 0; i < rows; ++i) {
+        for (std::uint32_t j = 0; j < cols; ++j) {
+          const bool border = i == 0 || i == rows - 1 || j == 0 || j == cols - 1;
+          EXPECT_EQ(got[i * cols + j], border ? bfs(i, j) : kSentinel)
+              << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(TileRunsTest, FillMapsEachRunOnce) {
+  const std::uint32_t rows = 6;
+  const std::uint32_t cols = 131;
+  const auto image = random_image(rows, cols, 4, 23);
+  cs::TileRuns runs;
+  std::vector<std::uint32_t> scratch(image.size());
+  runs.scan(image.pixels(), rows, cols, cs::Connectivity::kEight,
+            cs::ColourRule::kSameColour, scratch);
+  runs.resolve(
+      [](std::uint32_t i, std::uint32_t j) { return i * cols + j + 1; });
+  std::size_t calls = 0;
+  std::vector<std::uint32_t> got(image.size());
+  runs.fill(got, 0, rows, [&](std::uint32_t label) {
+    ++calls;
+    return label + 1000;
+  });
+  EXPECT_EQ(calls, runs.run_count());
+  const auto bfs = cs::label_components_bfs(image, cs::Connectivity::kEight,
+                                            cs::ColourRule::kSameColour);
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const std::uint32_t b = bfs.pixels()[k];
+    EXPECT_EQ(got[k], b == 0 ? 0 : b + 1000) << k;
   }
 }
 

@@ -21,6 +21,19 @@ std::vector<std::uint32_t> label(const std::vector<std::uint8_t>& px,
   return lb;
 }
 
+/// The resolved run table `label` fills its labels from.
+cs::TileRuns runs_of(const std::vector<std::uint8_t>& px, std::uint32_t rows,
+                     std::uint32_t cols,
+                     cs::Connectivity conn = cs::Connectivity::kEight) {
+  cs::TileRuns runs;
+  std::vector<std::uint32_t> scratch(px.size());
+  runs.scan(px, rows, cols, conn, cs::ColourRule::kBinary, scratch);
+  runs.resolve(
+      [cols](std::uint32_t i, std::uint32_t j) { return i * cols + j + 1; });
+  runs.detach();
+  return runs;
+}
+
 }  // namespace
 
 TEST(BorderOffsetsTest, CountsAndUniqueness) {
@@ -123,18 +136,20 @@ TEST(RelabelInteriorTest, StaleInteriorIsFixed) {
   // pass must pull the interior to 42 via the hook.
   std::vector<std::uint8_t> px(16, 1);
   auto lb = label(px, 4, 4);
+  auto runs = runs_of(px, 4, 4);
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 4));
   cc::update_border_labels(lb, px, cc::tile_border_offsets(4, 4),
                            {{cc::ChangePair{1, 42}}});
-  cc::relabel_interior(lb, px, hooks);
+  cc::relabel_interior(lb, runs, hooks);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(lb[i], 42u) << i;
 }
 
 TEST(RelabelInteriorTest, UnchangedComponentsAreSkipped) {
   std::vector<std::uint8_t> px(16, 1);
   auto lb = label(px, 4, 4);
+  auto runs = runs_of(px, 4, 4);
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 4));
-  cc::relabel_interior(lb, px, hooks);
+  cc::relabel_interior(lb, runs, hooks);
   for (const auto l : lb) EXPECT_EQ(l, 1u);
 }
 
@@ -146,10 +161,11 @@ TEST(RelabelInteriorTest, MultipleComponentsIndependently) {
                                1, 1, 1, 1,  //
                                1, 1, 1, 1};
   auto lb = label(px, 4, 4);
+  auto runs = runs_of(px, 4, 4);
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 4));
   cc::update_border_labels(lb, px, cc::tile_border_offsets(4, 4),
                            {{cc::ChangePair{9, 3}}});
-  cc::relabel_interior(lb, px, hooks);
+  cc::relabel_interior(lb, runs, hooks);
   for (std::uint32_t j = 0; j < 4; ++j) {
     EXPECT_EQ(lb[j], 1u);
     EXPECT_EQ(lb[8 + j], 3u);
@@ -167,6 +183,7 @@ TEST(RelabelInteriorTest, UShapedComponentFullyRelabeled) {
                                1, 0, 0, 1,  //
                                1, 1, 1, 1};
   auto lb = label(px, 4, 4);
+  auto runs = runs_of(px, 4, 4);
   // One component (seed (0,0) -> label 1).
   for (std::size_t i = 0; i < px.size(); ++i) {
     if (px[i]) {
@@ -177,7 +194,7 @@ TEST(RelabelInteriorTest, UShapedComponentFullyRelabeled) {
   ASSERT_EQ(hooks.size(), 1u);
   cc::update_border_labels(lb, px, cc::tile_border_offsets(4, 4),
                            {{cc::ChangePair{1, 77}}});
-  cc::relabel_interior(lb, px, hooks);
+  cc::relabel_interior(lb, runs, hooks);
   for (std::size_t i = 0; i < px.size(); ++i) {
     if (px[i]) {
       EXPECT_EQ(lb[i], 77u) << i;
@@ -191,12 +208,29 @@ TEST(RelabelInteriorTest, FourConnectivityRespected) {
   std::vector<std::uint8_t> px{1, 0,  //
                                0, 1};
   auto lb = label(px, 2, 2, cs::Connectivity::kFour);
+  auto runs = runs_of(px, 2, 2, cs::Connectivity::kFour);
   ASSERT_EQ(lb[0], 1u);
   ASSERT_EQ(lb[3], 4u);
   const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(2, 2));
   cc::update_border_labels(lb, px, cc::tile_border_offsets(2, 2),
                            {{cc::ChangePair{1, 99}}});
-  cc::relabel_interior(lb, px, hooks);
+  cc::relabel_interior(lb, runs, hooks);
   EXPECT_EQ(lb[0], 99u);
   EXPECT_EQ(lb[3], 4u);
+}
+
+TEST(RelabelInteriorTest, EveryPixelIsWrittenFromTheRunTable) {
+  // The parallel algorithm writes only the border at init; the final pass
+  // must write every interior pixel, background included, from the runs.
+  const std::vector<std::uint8_t> px{1, 1, 0, 1, 1,  //
+                                     0, 1, 0, 0, 1,  //
+                                     1, 0, 1, 1, 0,  //
+                                     1, 1, 0, 1, 1};
+  const auto want = label(px, 4, 5);
+  auto runs = runs_of(px, 4, 5);
+  std::vector<std::uint32_t> lb(px.size(), 0xDEADBEEFu);
+  runs.fill_border(lb);
+  const auto hooks = cc::make_tile_hooks(px, lb, cc::tile_border_offsets(4, 5));
+  cc::relabel_interior(lb, runs, hooks);
+  EXPECT_EQ(lb, want);
 }
