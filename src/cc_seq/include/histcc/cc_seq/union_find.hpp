@@ -64,13 +64,6 @@ class DisjointSets {
     return find_root(parent_, x);
   }
 
-  /// Root of x's set without path mutation — safe to call concurrently
-  /// with other find_const calls (but not with find or unite).
-  [[nodiscard]] std::uint32_t find_const(std::uint32_t x) const noexcept {
-    while (parent_[x] != x) x = parent_[x];
-    return x;
-  }
-
   /// Merge the sets of a and b; the smaller root becomes the root.
   void unite(std::uint32_t a, std::uint32_t b) noexcept {
     unite_roots(parent_, a, b);
@@ -81,6 +74,42 @@ class DisjointSets {
  private:
   std::vector<std::uint32_t> parent_;
 };
+
+/// The runs of one row: their start and end columns, left to right, and
+/// the row's pixels.
+struct RowRuns {
+  std::span<const std::uint32_t> starts;
+  std::span<const std::uint32_t> ends;
+  const std::uint8_t* pixels = nullptr;  ///< the row's first pixel
+};
+
+/// The scan's overlap rule: call touch(c, j) for every run c of `row` and
+/// run j of `above`, the row above it, that touch — share a column, or
+/// under 8-connectivity a column one apart — and, under the same-colour
+/// rule, have the same colour.  Pairs come in order of c, then of j.
+template <typename TouchFn>
+void for_each_touching(const RowRuns& above, const RowRuns& row,
+                       Connectivity conn, ColourRule rule, TouchFn&& touch) {
+  // Runs of the row above touch a run [s, e] when they overlap
+  // [s - reach, e + reach].
+  const std::uint32_t reach = conn == Connectivity::kEight ? 1 : 0;
+  const bool same_colour = rule == ColourRule::kSameColour;
+  const auto above_count = static_cast<std::uint32_t>(above.starts.size());
+  const auto count = static_cast<std::uint32_t>(row.starts.size());
+  std::uint32_t k = 0;
+  for (std::uint32_t c = 0; c < count; ++c) {
+    const std::uint32_t s = row.starts[c];
+    const std::uint32_t e = row.ends[c];
+    while (k < above_count && above.ends[k] + reach < s) ++k;
+    for (std::uint32_t j = k; j < above_count && above.starts[j] <= e + reach;
+         ++j) {
+      if (same_colour && above.pixels[above.starts[j]] != row.pixels[s]) {
+        continue;
+      }
+      touch(c, j);
+    }
+  }
+}
 
 /// The run table of one tile: the state of the two-pass scan that
 /// `label_tile` and the parallel algorithm's tile steps share.
@@ -169,6 +198,15 @@ class TileRuns {
   /// one allocation of the table, at its final size; call it at most once
   /// per scan.
   void detach();
+
+  /// Row i's runs, for linking the row to a row of another table.  The
+  /// columns live in scratch that the table's next pass or call reuses.
+  [[nodiscard]] RowRuns row_runs(std::uint32_t i);
+
+  /// Row i's entries of the table, in run order: labels after `resolve`.
+  [[nodiscard]] std::span<std::uint32_t> row_entries(std::uint32_t i) const {
+    return run_.subspan(row_first_[i], row_first_[i + 1] - row_first_[i]);
+  }
 
   /// Write only the tile's boundary pixels — the first and last rows and
   /// the first and last columns — with their labels (0 for background).

@@ -96,9 +96,6 @@ void TileRuns::scan(std::span<const std::uint8_t> pixels, std::uint32_t rows,
   run_ = storage;
   row_first_.assign(static_cast<std::size_t>(rows) + 1, 0);
 
-  // Runs of the row above touch a run [s, e] when they overlap
-  // [s - reach, e + reach].
-  const std::uint32_t reach = conn == Connectivity::kEight ? 1 : 0;
   std::uint32_t prev_count = 0;
   std::uint32_t base = 0;  // index of this row's first run
   for (std::uint32_t i = 0; i < rows; ++i) {
@@ -110,26 +107,28 @@ void TileRuns::scan(std::span<const std::uint8_t> pixels, std::uint32_t rows,
       const std::uint32_t prev_base = row_first_[i - 1];
       const std::uint8_t* row =
           pixels_.data() + static_cast<std::size_t>(i) * cols;
-      const std::uint8_t* above = row - cols;
-      std::uint32_t k = 0;
-      for (std::uint32_t c = 0; c < count; ++c) {
-        const std::uint32_t s = starts_[c];
-        const std::uint32_t e = ends_[c];
-        while (k < prev_count && prev_ends_[k] + reach < s) ++k;
-        // Union by smaller index, keeping this run's root at hand.
-        std::uint32_t root = base + c;
-        for (std::uint32_t j = k; j < prev_count && prev_starts_[j] <= e + reach;
-             ++j) {
-          if (same_colour_ && above[prev_starts_[j]] != row[s]) continue;
-          const std::uint32_t other = find_root(run_, prev_base + j);
-          if (other < root) {
-            run_[root] = other;
-            root = other;
-          } else if (root < other) {
-            run_[other] = root;
-          }
-        }
-      }
+      const RowRuns above{std::span(prev_starts_).first(prev_count),
+                          std::span(prev_ends_).first(prev_count), row - cols};
+      const RowRuns runs{std::span(starts_).first(count),
+                         std::span(ends_).first(count), row};
+      // Union by smaller index, keeping the current run's root at hand.
+      std::uint32_t current = count;
+      std::uint32_t root = 0;
+      for_each_touching(above, runs, conn, rule,
+                        [&](std::uint32_t c, std::uint32_t j) {
+                          if (c != current) {
+                            current = c;
+                            root = base + c;
+                          }
+                          const std::uint32_t other =
+                              find_root(run_, prev_base + j);
+                          if (other < root) {
+                            run_[root] = other;
+                            root = other;
+                          } else if (root < other) {
+                            run_[other] = root;
+                          }
+                        });
     }
     starts_.swap(prev_starts_);
     ends_.swap(prev_ends_);
@@ -143,6 +142,13 @@ void TileRuns::detach() {
   const auto table = run_.first(run_count());
   own_runs_.assign(table.begin(), table.end());
   run_ = own_runs_;
+}
+
+RowRuns TileRuns::row_runs(std::uint32_t i) {
+  load_row(i);
+  const std::uint32_t count = extract_runs();
+  return RowRuns{std::span(starts_).first(count), std::span(ends_).first(count),
+                 pixels_.data() + static_cast<std::size_t>(i) * cols_};
 }
 
 void TileRuns::fill_border(std::span<std::uint32_t> labels) {

@@ -62,19 +62,26 @@ namespace histcc::omp {
 [[nodiscard]] std::vector<std::uint32_t> histogram_omp(
     const img::GreyImage& image, std::uint32_t k, unsigned threads = 0);
 
-/// Connected components by strip-parallel union-find:
+/// Connected components by strip-parallel run scans (Gupta et al.'s
+/// two-pass CCL on strips):
 ///   1. the image is cut into horizontal strips, one per thread; each
-///      thread runs the two-pass union-find first pass within its strip
-///      (its unions touch only its own rows, so no synchronization);
-///   2. a short serial pass unions each strip's first row with the row
-///      above it (the strip boundaries);
-///   3. a parallel read-only resolve assigns every pixel its root label.
-/// Union-by-minimum keeps the canonical labeling, so the output equals
-/// ccseq::label_components_* exactly.  `threads` sets the team size
-/// explicitly (0 = backend_threads()); the count is clamped so every
-/// strip spans at least two rows, and shrinks to 1 under TSan (see
-/// tsan_active()).  When the epoch checker is enabled
-/// (epoch_check.hpp) the run self-verifies its barrier discipline.
+///      thread scans its strip with the run labeler the VM uses
+///      (ccseq::TileRuns), storing the run table in its own slice of the
+///      output, and resolves it on global rows, so every strip component
+///      carries the canonical label of its first pixel;
+///   2. a short serial pass links each strip's last row to the next
+///      strip's first row by the scan's overlap rule, union by smaller
+///      label, into one sorted (stale -> final) change table;
+///   3. one parallel fill per strip writes every pixel once, applying the
+///      change table once per run.
+/// The smallest label of a joined set is its first pixel's, so the output
+/// equals ccseq::label_components_* exactly.  `threads` sets the team
+/// size explicitly (0 = backend_threads()); the count is clamped to the
+/// row count (a one-row strip is a valid scan), and shrinks to 1 under
+/// TSan (see tsan_active()).  A team smaller than requested, as in a
+/// nested parallel region, still labels every strip.  When the epoch
+/// checker is enabled (epoch_check.hpp) the run self-verifies its
+/// barrier discipline.
 [[nodiscard]] img::LabelImage connected_components_omp(
     const img::GreyImage& image,
     ccseq::Connectivity conn = ccseq::Connectivity::kEight,

@@ -5,9 +5,13 @@
 #endif
 
 #include <algorithm>
+#include <exception>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "histcc/cc/border_graph.hpp"
 #include "histcc/cc_seq/union_find.hpp"
 #include "histcc/omp/epoch_check.hpp"
 #include "histcc/util/require.hpp"
@@ -15,41 +19,49 @@
 namespace histcc::omp {
 namespace {
 
-/// Run the raster-scan union pass over rows [row_begin, row_end), linking
-/// each foreground pixel with its already-scanned neighbours.  When
-/// `skip_up` is true the first row links only westwards (its upward
-/// neighbours belong to another strip and are handled by the serial
-/// boundary pass).
-void scan_rows(const img::GreyImage& image, ccseq::DisjointSets& forest,
-               std::uint32_t row_begin, std::uint32_t row_end, bool skip_up,
-               ccseq::Connectivity conn, ccseq::ColourRule rule) {
-  const std::uint32_t cols = image.width();
-  const auto px = image.pixels();
-  const bool eight = conn == ccseq::Connectivity::kEight;
-  const bool same_colour = rule == ccseq::ColourRule::kSameColour;
-
-  for (std::uint32_t i = row_begin; i < row_end; ++i) {
-    const bool link_up = i > 0 && !(skip_up && i == row_begin);
-    for (std::uint32_t j = 0; j < cols; ++j) {
-      const std::size_t idx = static_cast<std::size_t>(i) * cols + j;
-      const std::uint8_t colour = px[idx];
-      if (colour == 0) continue;
-      auto try_union = [&](std::size_t nidx) {
-        if (px[nidx] == 0) return;
-        if (same_colour && px[nidx] != colour) return;
-        forest.unite(static_cast<std::uint32_t>(idx),
-                     static_cast<std::uint32_t>(nidx));
-      };
-      if (j > 0) try_union(idx - 1);
-      if (link_up) {
-        try_union(idx - cols);
-        if (eight) {
-          if (j > 0) try_union(idx - cols - 1);
-          if (j + 1 < cols) try_union(idx - cols + 1);
-        }
-      }
-    }
+/// Link every strip's last row to the next strip's first row by the scan's
+/// overlap rule, union by smaller label, and return the (stale -> final)
+/// change table sorted by stale label.  Each strip root carries its first
+/// pixel's canonical label, so the smallest label of a joined set is the
+/// set's canonical label.
+std::vector<cc::ChangePair> merge_seams(std::span<ccseq::TileRuns> tables,
+                                ccseq::Connectivity conn,
+                                ccseq::ColourRule rule) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> links;
+  for (std::size_t s = 1; s < tables.size(); ++s) {
+    ccseq::TileRuns& upper = tables[s - 1];
+    ccseq::TileRuns& lower = tables[s];
+    const std::uint32_t last = upper.rows() - 1;
+    const auto above_labels = upper.row_entries(last);
+    const auto row_labels = lower.row_entries(0);
+    ccseq::for_each_touching(
+        upper.row_runs(last), lower.row_runs(0), conn, rule,
+        [&](std::uint32_t c, std::uint32_t j) {
+          links.emplace_back(above_labels[j], row_labels[c]);
+        });
   }
+  // Every linked label once, sorted: a set's smallest index is its
+  // smallest label.
+  std::vector<std::uint32_t> keys;
+  keys.reserve(2 * links.size());
+  for (const auto& [a, b] : links) {
+    keys.push_back(a);
+    keys.push_back(b);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const auto key = [&keys](std::uint32_t label) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(keys.begin(), keys.end(), label) - keys.begin());
+  };
+  ccseq::DisjointSets sets(keys.size());
+  for (const auto& [a, b] : links) sets.unite(key(a), key(b));
+  std::vector<cc::ChangePair> changes;
+  for (std::uint32_t k = 0; k < keys.size(); ++k) {
+    const std::uint32_t root = sets.find(k);
+    if (root != k) changes.push_back(cc::ChangePair{keys[k], keys[root]});
+  }
+  return changes;
 }
 
 }  // namespace
@@ -60,97 +72,140 @@ img::LabelImage connected_components_omp(const img::GreyImage& image,
                                          unsigned threads) {
   const std::uint32_t rows = image.height();
   const std::uint32_t cols = image.width();
-  img::require_labelable(rows, cols);  // the forest holds 32-bit indices
+  img::require_labelable(rows, cols);  // labels are 1 + a 32-bit index
   img::LabelImage labels(rows, cols);
   if (image.empty()) return labels;
-
-  ccseq::DisjointSets forest(static_cast<std::size_t>(rows) * cols);
 
 #ifdef _OPENMP
   if (threads == 0) threads = backend_threads();
   // Explicit counts are requests, not guarantees: under TSan they shrink
   // to 1 like backend_threads() does (see tsan_active()).
   if (tsan_active()) threads = 1;
-  // Every strip must span at least two rows so pass 1's "first row links
-  // westwards only" rule keeps the strips' union-find updates disjoint.
-  threads = std::min<unsigned>(threads, std::max(1u, rows / 2));
-  std::vector<std::uint32_t> strip_begin(threads + 1);
-  for (unsigned t = 0; t <= threads; ++t) {
-    strip_begin[t] = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(rows) * t / threads);
+#else
+  threads = 1;
+#endif
+  // One row strip per thread; a one-row strip is still a valid run scan.
+  const unsigned strips = std::min(threads, rows);
+  std::vector<std::uint32_t> strip_begin(strips + 1);
+  for (unsigned s = 0; s <= strips; ++s) {
+    strip_begin[s] = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(rows) * s / strips);
   }
+  const auto px = image.pixels();
+  const auto out = labels.pixels();
+  const auto strip_lo = [&](unsigned s) {
+    return static_cast<std::size_t>(strip_begin[s]) * cols;
+  };
+  const auto strip_len = [&](unsigned s) {
+    return strip_lo(s + 1) - strip_lo(s);
+  };
 
-  const std::size_t total = static_cast<std::size_t>(rows) * cols;
   std::unique_ptr<EpochChecker> chk;
-  std::shared_ptr<splitc::ArrayShadow> sh_parent;
+  std::shared_ptr<splitc::ArrayShadow> sh_tables;
   std::shared_ptr<splitc::ArrayShadow> sh_labels;
+  std::shared_ptr<splitc::ArrayShadow> sh_changes;
   if (epoch_check_enabled()) {
-    chk = std::make_unique<EpochChecker>(threads);
-    sh_parent = chk->attach("omp_cc_parent");
-    sh_labels = chk->attach("omp_cc_labels");
+    chk = std::make_unique<EpochChecker>(strips);
+    sh_tables = chk->attach("omp_cc_tables");  // one TileRuns per strip
+    sh_labels = chk->attach("omp_cc_labels");  // holds the tables until fill
+    sh_changes = chk->attach("omp_cc_changes");
   }
 
-  // Pass 1 (parallel): each thread's unions touch only pixel indices in
-  // its own rows, because the strip's first row links westwards only.
-#pragma omp parallel num_threads(threads)
+  // Pass 1, per strip: the run scan, with the strip's slice of the output
+  // lent as table storage, then resolve on global rows, so every strip
+  // root carries the canonical label of its first pixel.
+  std::vector<ccseq::TileRuns> tables(strips);
+  std::vector<std::exception_ptr> failed(strips);
+  const auto scan_strip = [&](unsigned s) {
+    const std::uint32_t row0 = strip_begin[s];
+    try {
+      tables[s].scan(px.subspan(strip_lo(s), strip_len(s)),
+                     strip_begin[s + 1] - row0, cols, conn, rule,
+                     out.subspan(strip_lo(s), strip_len(s)));
+      tables[s].resolve([row0, cols](std::uint32_t i, std::uint32_t j) {
+        return (row0 + i) * cols + j + 1;
+      });
+    } catch (...) {
+      failed[s] = std::current_exception();
+    }
+  };
+#ifdef _OPENMP
+  // Strips are dealt round-robin, so a team smaller than requested (a
+  // nested region, a thread limit) still covers every strip.
+#pragma omp parallel num_threads(strips)
   {
     const auto t = static_cast<unsigned>(omp_get_thread_num());
-    scan_rows(image, forest, strip_begin[t], strip_begin[t + 1],
-              /*skip_up=*/true, conn, rule);
-    if (chk) {
-      const std::size_t lo = static_cast<std::size_t>(strip_begin[t]) * cols;
-      const std::size_t hi =
-          static_cast<std::size_t>(strip_begin[t + 1]) * cols;
-      chk->note_write(*sh_parent, t, lo, hi - lo);
+    const auto team = static_cast<unsigned>(omp_get_num_threads());
+    for (unsigned s = t; s < strips; s += team) {
+      scan_strip(s);
+      if (chk) {
+        chk->note_write(*sh_tables, t, s, 1);
+        chk->note_write(*sh_labels, t, strip_lo(s), strip_len(s));
+      }
     }
+  }
+#else
+  scan_strip(0);
+#endif
+  for (const auto& error : failed) {
+    if (error) std::rethrow_exception(error);
   }
   // The fork/join boundary is the barrier that publishes the strips.
   if (chk) chk->advance_epoch_all();
 
-  // Pass 2 (serial): stitch the strip boundaries — re-scan just each
-  // strip's first row with upward links enabled.
-  for (unsigned t = 1; t < threads; ++t) {
-    scan_rows(image, forest, strip_begin[t], strip_begin[t] + 1,
-              /*skip_up=*/false, conn, rule);
-  }
+  // Pass 2 (serial): merge the seams into one change table.
+  const std::vector<cc::ChangePair> changes = merge_seams(tables, conn, rule);
   if (chk) {
-    // Boundary unions may relink roots anywhere; recorded as thread 0,
-    // alone in its epoch (the other threads are joined).
-    chk->note_write(*sh_parent, 0, 0, total);
+    // Recorded as thread 0, alone in its epoch: row_runs reuses every
+    // table's scratch, and the links read the seam rows' table entries.
+    chk->note_write(*sh_tables, 0, 0, strips);
+    for (unsigned s = 1; s < strips; ++s) {
+      for (const auto entries :
+           {tables[s - 1].row_entries(tables[s - 1].rows() - 1),
+            tables[s].row_entries(0)}) {
+        chk->note_read(*sh_labels, 0,
+                       static_cast<std::size_t>(entries.data() - out.data()),
+                       entries.size());
+      }
+    }
+    chk->note_write(*sh_changes, 0, 0, changes.size());
     chk->advance_epoch_all();
   }
 
-  // Pass 3 (parallel, read-only): resolve every pixel to its root.
-  // Manual static ranges (equivalent to schedule(static)) so each
-  // thread's label slice is explicit for the epoch annotation.
-  const auto px = image.pixels();
-  auto out = labels.pixels();
-#pragma omp parallel num_threads(threads)
+  // Pass 3, per strip: one fill writes every pixel once, applying the
+  // change table once per run.
+  const auto fill_strip = [&](unsigned s) {
+    // Runs of one component often follow each other: cache the last search.
+    std::uint32_t last_label = 0;
+    std::uint32_t last_result = 0;
+    ccseq::TileRuns& table = tables[s];
+    table.fill(out.subspan(strip_lo(s), strip_len(s)), 0, table.rows(),
+               [&](std::uint32_t label) {
+                 if (label != last_label) {
+                   last_label = label;
+                   last_result = cc::apply_changes(changes, label);
+                 }
+                 return last_result;
+               });
+  };
+#ifdef _OPENMP
+#pragma omp parallel num_threads(strips)
   {
     const auto t = static_cast<unsigned>(omp_get_thread_num());
-    const std::size_t lo = total * t / threads;
-    const std::size_t hi = total * (t + 1) / threads;
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = px[i] == 0
-                   ? ccseq::kBackgroundLabel
-                   : forest.find_const(static_cast<std::uint32_t>(i)) + 1;
-    }
-    if (chk) {
-      chk->note_read(*sh_parent, t, 0, total);
-      chk->note_write(*sh_labels, t, lo, hi - lo);
+    const auto team = static_cast<unsigned>(omp_get_num_threads());
+    for (unsigned s = t; s < strips; s += team) {
+      fill_strip(s);
+      if (chk) {
+        chk->note_read(*sh_changes, t, 0, changes.size());
+        chk->note_write(*sh_tables, t, s, 1);
+        chk->note_write(*sh_labels, t, strip_lo(s), strip_len(s));
+      }
     }
   }
-  if (chk) chk->throw_if_conflicts();
 #else
-  (void)threads;
-  scan_rows(image, forest, 0, rows, /*skip_up=*/false, conn, rule);
-  const auto px = image.pixels();
-  auto out = labels.pixels();
-  for (std::size_t idx = 0; idx < px.size(); ++idx) {
-    out[idx] = px[idx] == 0 ? ccseq::kBackgroundLabel
-                            : forest.find(static_cast<std::uint32_t>(idx)) + 1;
-  }
+  fill_strip(0);
 #endif
+  if (chk) chk->throw_if_conflicts();
   return labels;
 }
 

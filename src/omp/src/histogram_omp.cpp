@@ -35,9 +35,9 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
   // to 1 like backend_threads() does (see tsan_active()).
   const unsigned nt =
       tsan_active() ? 1 : (threads == 0 ? backend_threads() : threads);
-  // Flat per-thread tallies: thread t owns [t*k, (t+1)*k).  Epoch
+  // Flat per-slice tallies: slice s owns [s*k, (s+1)*k).  Epoch
   // structure is the paper's publication discipline verbatim: tally into
-  // your own block, barrier, reduce everyone's blocks.
+  // your own blocks, barrier, reduce everyone's blocks.
   std::vector<std::uint32_t> partial(static_cast<std::size_t>(nt) * k, 0);
   // An exception must not leave the parallel region: each thread parks
   // its tally's contract_error here and the host rethrows after the join.
@@ -52,44 +52,53 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
     sh_counts = chk->attach("omp_hist_counts");
   }
 
+  // Slice s of the pixels tallies into block s, and slice s of [0, k) is
+  // reduced by one thread.  Slices are dealt round-robin, so a team smaller
+  // than requested (a nested region, a thread limit) still covers them all.
 #pragma omp parallel num_threads(nt)
   {
     const auto t = static_cast<unsigned>(omp_get_thread_num());
-    // A contiguous static slice of the pixels per thread; tally keeps its
-    // sub-tables private and writes this thread's k bars once.
-    const std::size_t lo = px.size() * t / nt;
-    const std::size_t hi = px.size() * (t + 1) / nt;
-    try {
-      hist::tally(px.subspan(lo, hi - lo),
-                  std::span(partial).subspan(static_cast<std::size_t>(t) * k,
-                                             k),
-                  k);
-    } catch (...) {
-      failed[t] = std::current_exception();
+    const auto team = static_cast<unsigned>(omp_get_num_threads());
+    for (unsigned s = t; s < nt; s += team) {
+      // A contiguous static slice of the pixels; tally keeps its
+      // sub-tables private and writes the slice's k bars once.
+      const std::size_t lo = px.size() * s / nt;
+      const std::size_t hi = px.size() * (s + 1) / nt;
+      try {
+        hist::tally(px.subspan(lo, hi - lo),
+                    std::span(partial).subspan(static_cast<std::size_t>(s) * k,
+                                               k),
+                    k);
+      } catch (...) {
+        failed[s] = std::current_exception();
+      }
+      if (chk) {
+        chk->note_write(*sh_partial, t, static_cast<std::size_t>(s) * k, k);
+      }
     }
     // Publish the tallies: epoch_barrier is the team barrier when the
     // checker runs, a plain omp barrier otherwise.
     if (chk) {
-      chk->note_write(*sh_partial, t, static_cast<std::size_t>(t) * k, k);
       chk->epoch_barrier(t);
     } else {
 #pragma omp barrier
     }
-    // Parallel reduction over grey levels: thread t combines column g of
-    // every tally block for its slice of [0, k).  Manual static ranges so
-    // the slice is explicit for the epoch annotation.
-    const std::uint32_t g_begin = k * t / nt;
-    const std::uint32_t g_end = k * (t + 1) / nt;
-    for (std::uint32_t g = g_begin; g < g_end; ++g) {
-      std::uint32_t sum = 0;
-      for (unsigned tt = 0; tt < nt; ++tt) {
-        sum += partial[static_cast<std::size_t>(tt) * k + g];
+    // Parallel reduction over grey levels: column g of every tally block.
+    // Manual static ranges so each slice is explicit for the annotation.
+    for (unsigned s = t; s < nt; s += team) {
+      const std::uint32_t g_begin = k * s / nt;
+      const std::uint32_t g_end = k * (s + 1) / nt;
+      for (std::uint32_t g = g_begin; g < g_end; ++g) {
+        std::uint32_t sum = 0;
+        for (unsigned tt = 0; tt < nt; ++tt) {
+          sum += partial[static_cast<std::size_t>(tt) * k + g];
+        }
+        counts[g] = sum;
       }
-      counts[g] = sum;
-    }
-    if (chk) {
-      chk->note_read(*sh_partial, t, 0, partial.size());
-      chk->note_write(*sh_counts, t, g_begin, g_end - g_begin);
+      if (chk) {
+        chk->note_read(*sh_partial, t, 0, partial.size());
+        chk->note_write(*sh_counts, t, g_begin, g_end - g_begin);
+      }
     }
   }
   for (const auto& error : failed) {

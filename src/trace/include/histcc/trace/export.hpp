@@ -41,7 +41,7 @@ struct PhaseRow {
   std::string name;
   std::uint64_t spans = 0;        ///< span records aggregated (recorded only)
   double wall_s = 0.0;            ///< max over tracks of summed durations
-  double total_wall_s = 0.0;      ///< sum over all spans (cpu-seconds)
+  double total_wall_s = 0.0;      ///< wall time summed over all spans
   std::uint64_t words = 0;        ///< remote words moved, all ranks
   std::uint64_t messages = 0;     ///< remote transfers, all ranks
   std::uint64_t barriers = 0;     ///< barrier crossings, all ranks

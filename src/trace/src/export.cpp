@@ -221,7 +221,7 @@ void write_phase_report(const Tracer& tracer,
   out << "histcc::trace per-phase breakdown (profile: " << profile.name
       << ")\n";
   out << std::left << std::setw(28) << "phase" << std::right << std::setw(8)
-      << "spans" << std::setw(12) << "wall ms" << std::setw(12) << "cpu ms"
+      << "spans" << std::setw(12) << "wall ms" << std::setw(12) << "sum wall ms"
       << std::setw(12) << "words" << std::setw(10) << "msgs" << std::setw(14)
       << "modeled ms";
   if (any_sampled) out << std::setw(8) << "rate";

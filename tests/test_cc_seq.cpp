@@ -141,21 +141,6 @@ TEST(DisjointSetsTest, RootIsMinimumMember) {
   EXPECT_EQ(sets.find(9), 1u);
 }
 
-TEST(DisjointSetsTest, FindConstAgreesWithoutCompressing) {
-  cs::DisjointSets sets(8);
-  // A chain 7 -> 6 -> ... -> 0 built by uniting each pair's roots.
-  for (std::uint32_t x = 7; x > 0; --x) sets.unite(x, x - 1);
-  const cs::DisjointSets& view = sets;
-  for (std::uint32_t x = 0; x < 8; ++x) EXPECT_EQ(view.find_const(x), 0u) << x;
-  sets.unite(4, 2);  // same set: no-op
-  EXPECT_EQ(view.find_const(7), 0u);
-  cs::DisjointSets apart(4);
-  apart.unite(3, 2);
-  EXPECT_EQ(apart.find_const(3), 2u);
-  EXPECT_EQ(apart.find_const(1), 1u);
-  EXPECT_EQ(apart.find_const(3), apart.find(3));
-}
-
 namespace {
 
 /// Pixels of processor `rank`'s tile of `image`, row-major.

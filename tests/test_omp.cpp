@@ -1,6 +1,6 @@
 // Tests for the shared-memory (OpenMP) host backend: exact agreement with
 // the sequential references across workloads, connectivities, and colour
-// rules, strip-boundary edge cases, explicit team sizes, and the
+// rules, strip-seam edge cases, explicit team sizes, and the
 // barrier-epoch checker (epoch_check.hpp) — including a deliberately racy
 // OpenMP program that must be detected with full diagnostics.
 #include <gtest/gtest.h>
@@ -10,16 +10,19 @@
 #endif
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/hoshen_kopelman.hpp"
 #include "histcc/hist/histogram.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/omp/epoch_check.hpp"
 #include "histcc/omp/parallel_host.hpp"
 #include "histcc/splitc/race_ledger.hpp"
 #include "histcc/util/require.hpp"
+#include "run_images.hpp"
 
 namespace cs = histcc::ccseq;
 namespace hh = histcc::hist;
@@ -36,6 +39,33 @@ void await(const std::atomic<int>& flag, int want) {
   }
 }
 
+/// Team sizes for the seam tests: one strip, even and odd splits, and more
+/// threads than most test images have rows.
+constexpr unsigned kSeamThreads[] = {1, 2, 3, 4, 7, 16};
+
+/// Expect connected_components_omp at every kSeamThreads count to equal
+/// BFS and Hoshen-Kopelman, under both connectivities and colour rules.
+void expect_matches_oracles(const im::GreyImage& image,
+                            const std::string& what) {
+  for (const auto rule :
+       {cs::ColourRule::kBinary, cs::ColourRule::kSameColour}) {
+    for (const auto conn :
+         {cs::Connectivity::kFour, cs::Connectivity::kEight}) {
+      const auto bfs = cs::label_components_bfs(image, conn, rule);
+      const std::string how = what + " conn " +
+                              std::to_string(static_cast<int>(conn)) +
+                              " rule " + std::to_string(static_cast<int>(rule));
+      ASSERT_EQ(cs::label_components_hoshen_kopelman(image, conn, rule), bfs)
+          << how;
+      for (const unsigned threads : kSeamThreads) {
+        ASSERT_EQ(ho::connected_components_omp(image, conn, rule, threads),
+                  bfs)
+            << how << " threads=" << threads;
+      }
+    }
+  }
+}
+
 /// RAII toggle for the built-in algorithms' self-instrumentation.
 struct ScopedEpochCheck {
   ScopedEpochCheck() { ho::set_epoch_check_enabled(true); }
@@ -47,6 +77,34 @@ struct ScopedEpochCheck {
 TEST(OmpBackendTest, ReportsThreads) {
   EXPECT_GE(ho::backend_threads(), 1u);
 }
+
+#ifdef _OPENMP
+// Called from inside a parallel region the backend's team is nested and,
+// with nesting off (the OpenMP default), has one thread: that thread must
+// still tally every pixel slice and reduce every grey level, and scan and
+// fill every strip.
+TEST(OmpBackendTest, TeamSmallerThanRequestedCoversEverySlice) {
+  if (ho::tsan_active()) {
+    GTEST_SKIP() << "libgomp teams are not TSan-instrumented";
+  }
+  const auto image = im::make_percolation(64, 0.59, 7);
+  const auto grey = im::make_random_grey(64, 16, 7);
+  std::vector<im::LabelImage> labels(2);
+  std::vector<std::vector<std::uint32_t>> counts(2);
+#pragma omp parallel num_threads(2)
+  {
+    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+    labels[t] = ho::connected_components_omp(image, cs::Connectivity::kEight,
+                                             cs::ColourRule::kBinary, 4);
+    counts[t] = ho::histogram_omp(grey, 16, 4);
+  }
+  const std::size_t callers = labels[1].pixels().empty() ? 1 : 2;
+  for (std::size_t t = 0; t < callers; ++t) {
+    EXPECT_EQ(labels[t], cs::label_components_bfs(image)) << "caller " << t;
+    EXPECT_EQ(counts[t], hh::histogram_seq(grey, 16)) << "caller " << t;
+  }
+}
+#endif  // _OPENMP
 
 class OmpHistSweep
     : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint32_t>> {
@@ -169,11 +227,163 @@ TEST(OmpCcTest, ExplicitTeamSizesMatchSequential) {
 }
 
 // ---------------------------------------------------------------------------
+// Strip seams: each thread scans a row strip, and a serial pass links the
+// last row of every strip to the first row of the next.
+
+TEST(OmpCcSeams, RunBoundaryCatalogMatchesOracles) {
+  // 23 rows: uneven strips at every team size, one-row strips at 16.
+  for (const std::uint32_t width : histcc::testing::kRunTileWidths) {
+    for (const auto& [name, image] :
+         histcc::testing::run_boundary_images(23, width, width)) {
+      expect_matches_oracles(image, name + " width " + std::to_string(width));
+    }
+  }
+}
+
+TEST(OmpCcSeams, BenchmarkFrameGeneratorsMatchOracles) {
+  // The end-to-end benchmark's frame_cc generators (perfbench
+  // make_cc_frames) at 256x256 and as a 1000-row, 333-column crop.  Its
+  // oracle shares the run scan with this backend, so BFS and
+  // Hoshen-Kopelman check both here.
+  const auto crop = [](const im::GreyImage& image, std::uint32_t cols) {
+    im::GreyImage out(image.height(), cols);
+    for (std::uint32_t i = 0; i < image.height(); ++i) {
+      for (std::uint32_t j = 0; j < cols; ++j) out(i, j) = image(i, j);
+    }
+    return out;
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const auto& [n, cols] : {std::pair{256u, 256u}, {1000u, 333u}}) {
+      const std::string shape = " " + std::to_string(n) + "x" +
+                                std::to_string(cols) + " seed " +
+                                std::to_string(seed);
+      expect_matches_oracles(crop(im::make_darpa_like(n, seed), cols),
+                             "darpa" + shape);
+      expect_matches_oracles(crop(im::make_percolation(n, 0.59, seed), cols),
+                             "percolation" + shape);
+      if (seed == 1) {  // the spiral takes no seed
+        expect_matches_oracles(
+            crop(im::make_test_pattern(im::TestPattern::kDualSpiral, n), cols),
+            "spiral" + shape);
+      }
+    }
+  }
+}
+
+TEST(OmpCcSeams, DiagonalTouchLinksOnlyUnderEightConnectivity) {
+  // A one-pixel diagonal line down and to the right, and one down and to
+  // the left, so every seam at every team size is crossed by a diagonal
+  // touch in both directions of the 8-connected overlap.
+  for (const bool leftwards : {false, true}) {
+    constexpr std::uint32_t n = 16;
+    im::GreyImage image(n, n, 0);
+    for (std::uint32_t i = 0; i < n; ++i) image(i, leftwards ? n - 1 - i : i) = 1;
+    for (const unsigned threads : kSeamThreads) {
+      const auto eight = ho::connected_components_omp(
+          image, cs::Connectivity::kEight, cs::ColourRule::kBinary, threads);
+      const auto four = ho::connected_components_omp(
+          image, cs::Connectivity::kFour, cs::ColourRule::kBinary, threads);
+      EXPECT_EQ(eight, cs::label_components_bfs(image, cs::Connectivity::kEight))
+          << "threads=" << threads;
+      EXPECT_EQ(four, cs::label_components_bfs(image, cs::Connectivity::kFour))
+          << "threads=" << threads;
+      const std::uint32_t first = leftwards ? n : 1;  // label of pixel (0, .)
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t j = leftwards ? n - 1 - i : i;
+        EXPECT_EQ(eight(i, j), first) << "threads=" << threads << " row " << i;
+        EXPECT_EQ(four(i, j), i * n + j + 1)
+            << "threads=" << threads << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(OmpCcSeams, ArmsJoinedInALowerStripKeepTheUpperMinimum) {
+  // A U whose arms meet only in the bottom row.  The right arm starts at
+  // row 0 and the left at row 5, so the component's canonical label is
+  // the right arm's (0, 9) + 1 = 10, though the left arm's first pixel
+  // lies further left; every strip above the bottom one sees two arms.
+  constexpr std::uint32_t rows = 24;
+  constexpr std::uint32_t cols = 12;
+  im::GreyImage image(rows, cols, 0);
+  for (std::uint32_t i = 0; i < rows; ++i) image(i, 9) = 1;
+  for (std::uint32_t i = 5; i < rows; ++i) image(i, 2) = 1;
+  for (std::uint32_t j = 2; j <= 9; ++j) image(rows - 1, j) = 1;
+  for (const unsigned threads : kSeamThreads) {
+    const auto labels = ho::connected_components_omp(
+        image, cs::Connectivity::kFour, cs::ColourRule::kBinary, threads);
+    EXPECT_EQ(labels, cs::label_components_bfs(image, cs::Connectivity::kFour))
+        << "threads=" << threads;
+    for (std::size_t idx = 0; idx < image.pixels().size(); ++idx) {
+      EXPECT_EQ(labels.pixels()[idx], image.pixels()[idx] != 0 ? 10u : 0u)
+          << "threads=" << threads << " pixel " << idx;
+    }
+  }
+  expect_matches_oracles(image, "u-shape");
+}
+
+TEST(OmpCcSeams, DifferentColoursDoNotLinkUnderTheSameColourRule) {
+  // Full rows of colours 1 and 2 alternating: under the same-colour rule
+  // every row is its own component, so no seam links; under the binary
+  // rule the image is one component.
+  constexpr std::uint32_t n = 20;
+  im::GreyImage image(n, n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      image(i, j) = static_cast<std::uint8_t>(1 + i % 2);
+    }
+  }
+  for (const unsigned threads : kSeamThreads) {
+    const auto same = ho::connected_components_omp(
+        image, cs::Connectivity::kEight, cs::ColourRule::kSameColour, threads);
+    const auto binary = ho::connected_components_omp(
+        image, cs::Connectivity::kEight, cs::ColourRule::kBinary, threads);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        ASSERT_EQ(same(i, j), i * n + 1) << "threads=" << threads;
+        ASSERT_EQ(binary(i, j), 1u) << "threads=" << threads;
+      }
+    }
+  }
+  expect_matches_oracles(image, "colour rows");
+}
+
+TEST(OmpCcSeams, MoreThreadsThanRows) {
+  // Teams at and past the row count get one-row strips.
+  for (const std::uint32_t rows : {1u, 2u, 3u, 5u}) {
+    const auto image = im::make_random_grey(rows, 3, rows);  // rows x rows
+    for (const std::uint32_t cols : {1u, 9u, 70u}) {
+      im::GreyImage wide(rows, cols);
+      for (std::uint32_t i = 0; i < rows; ++i) {
+        for (std::uint32_t j = 0; j < cols; ++j) {
+          wide(i, j) = image(i, j % rows);
+        }
+      }
+      const std::string what =
+          std::to_string(rows) + "x" + std::to_string(cols);
+      expect_matches_oracles(wide, what);
+      for (const unsigned threads : {rows, rows + 1, 64u}) {
+        EXPECT_EQ(ho::connected_components_omp(wide, cs::Connectivity::kEight,
+                                               cs::ColourRule::kSameColour,
+                                               threads),
+                  cs::label_components_bfs(wide, cs::Connectivity::kEight,
+                                           cs::ColourRule::kSameColour))
+            << what << " threads=" << threads;
+      }
+    }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
 // Barrier-epoch checking of the OpenMP mirror (epoch_check.hpp).
 
 TEST(OmpEpochCheck, BuiltInAlgorithmsSelfVerifyClean) {
   ScopedEpochCheck guard;
   const auto image = im::make_test_pattern(im::TestPattern::kDualSpiral, 64);
+  // A random 16-level frame under the same-colour rule has about 0.9 runs
+  // per pixel, so most runs of every seam row link across the seam.
+  const auto dense = im::make_random_grey(64, 16, 5);
   // Under the checker both algorithms annotate every shared access and
   // throw on a protocol violation — so completing is the assertion; the
   // results must also still be exact.
@@ -181,6 +391,12 @@ TEST(OmpEpochCheck, BuiltInAlgorithmsSelfVerifyClean) {
     EXPECT_EQ(ho::connected_components_omp(image, cs::Connectivity::kEight,
                                            cs::ColourRule::kBinary, threads),
               cs::label_components_bfs(image))
+        << "threads=" << threads;
+    EXPECT_EQ(ho::connected_components_omp(dense, cs::Connectivity::kEight,
+                                           cs::ColourRule::kSameColour,
+                                           threads),
+              cs::label_components_bfs(dense, cs::Connectivity::kEight,
+                                       cs::ColourRule::kSameColour))
         << "threads=" << threads;
     EXPECT_EQ(ho::histogram_omp(image, 2, threads),
               hh::histogram_seq(image, 2))

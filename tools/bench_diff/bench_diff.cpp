@@ -3,6 +3,7 @@
 //
 //   bench_diff BASELINE.json CURRENT.json [--threshold PCT] [--key FIELD]
 //              [--allow-missing]
+//   bench_diff --merge OUT.json RUN.json RUN.json [RUN.json ...]
 //
 // Records are matched by their `name` field.  A record regresses when
 // CURRENT's FIELD (default min_ns — the best-of-reps number, least noisy
@@ -12,6 +13,14 @@
 // baseline deliberately); records new in CURRENT are reported but never
 // fail.  Exit codes: 0 clean, 1 regression/missing, 2 usage or I/O or
 // parse error.
+//
+// --merge writes the best of several runs of one bench, each from a fresh
+// process, as one report: every row is the record of the run with the
+// smallest min_ns for it, copied verbatim.  The runs must come from one
+// build (same bench, schema, git sha and preset) and hold the same rows,
+// so no row is dropped or taken from fewer runs than the others.  A slow
+// process then costs a row nothing as long as one run of it was quiet,
+// while the comparison gate itself stays as strict as it was.
 //
 // The parser below is deliberately minimal and dependency-free: it
 // understands exactly the flat shape JsonReport writes (one object per
@@ -34,6 +43,7 @@ namespace {
 struct Record {
   std::string name;
   std::map<std::string, double> fields;
+  std::string raw;  ///< the record's JSON text, braces included
 };
 
 struct Report {
@@ -94,6 +104,7 @@ std::optional<double> parse_number(Cursor& c) {
 /// One `{"name": ..., "p": ..., ...}` result object.
 std::optional<Record> parse_record(Cursor& c) {
   if (!c.eat('{')) return std::nullopt;
+  const std::size_t begin = c.pos - 1;
   Record record;
   while (true) {
     auto key = parse_string(c);
@@ -111,6 +122,7 @@ std::optional<Record> parse_record(Cursor& c) {
     if (c.eat('}')) break;
     return std::nullopt;
   }
+  record.raw = c.text.substr(begin, c.pos - begin);
   return record;
 }
 
@@ -194,23 +206,101 @@ std::optional<Report> load(const char* path, std::string* error) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s BASELINE.json CURRENT.json [--threshold PCT] "
-               "[--key FIELD] [--allow-missing]\n",
-               argv0);
+               "[--key FIELD] [--allow-missing]\n"
+               "       %s --merge OUT.json RUN.json RUN.json [RUN.json ...]\n",
+               argv0, argv0);
   return 2;
+}
+
+/// The --merge mode: see the file comment.  Exit 0 when OUT.json was
+/// written, 2 on any mismatch between the runs or an I/O error.
+int merge(const char* out_path, const std::vector<const char*>& run_paths) {
+  std::vector<Report> runs;
+  for (const char* path : run_paths) {
+    std::string error;
+    auto report = load(path, &error);
+    if (!report) {
+      std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
+      return 2;
+    }
+    runs.push_back(std::move(*report));
+  }
+  const Report& first = runs.front();
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    const Report& run = runs[r];
+    if (run.bench != first.bench || run.schema_version != first.schema_version ||
+        run.git_sha != first.git_sha || run.build_preset != first.build_preset) {
+      std::fprintf(stderr,
+                   "bench_diff: %s and %s come from different benches or "
+                   "builds; merge runs of one build only\n",
+                   run_paths[0], run_paths[r]);
+      return 2;
+    }
+    if (run.results.size() != first.results.size()) {
+      std::fprintf(stderr, "bench_diff: %s and %s hold different rows\n",
+                   run_paths[0], run_paths[r]);
+      return 2;
+    }
+  }
+  std::string body;
+  for (const Record& row : first.results) {
+    const Record* best = nullptr;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      const Record* match = nullptr;
+      for (const Record& candidate : runs[r].results) {
+        if (candidate.name == row.name) match = &candidate;
+      }
+      if (match == nullptr) {
+        std::fprintf(stderr, "bench_diff: %s has no row `%s`\n", run_paths[r],
+                     row.name.c_str());
+        return 2;
+      }
+      const auto min_ns = match->fields.find("min_ns");
+      if (min_ns == match->fields.end()) {
+        std::fprintf(stderr, "bench_diff: %s: row `%s` has no min_ns\n",
+                     run_paths[r], row.name.c_str());
+        return 2;
+      }
+      if (best == nullptr || min_ns->second < best->fields.at("min_ns")) {
+        best = match;
+      }
+    }
+    body += (body.empty() ? "    " : ",\n    ") + best->raw;
+  }
+  std::FILE* out = std::fopen(out_path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "bench_diff: cannot write %s\n", out_path);
+    return 2;
+  }
+  std::fprintf(out,
+               "{\n  \"bench\": \"%s\",\n  \"schema_version\": %d,\n"
+               "  \"git_sha\": \"%s\",\n  \"build_preset\": \"%s\",\n"
+               "  \"results\": [\n%s\n  ]\n}\n",
+               first.bench.c_str(), first.schema_version, first.git_sha.c_str(),
+               first.build_preset.c_str(), body.c_str());
+  if (std::fclose(out) != 0) {
+    std::fprintf(stderr, "bench_diff: cannot write %s\n", out_path);
+    return 2;
+  }
+  std::printf("bench_diff: merged %zu run(s) of %zu row(s) into %s\n",
+              runs.size(), first.results.size(), out_path);
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* baseline_path = nullptr;
-  const char* current_path = nullptr;
   double threshold_pct = 10.0;
   std::string key = "min_ns";
   bool allow_missing = false;
+  const char* merge_path = nullptr;
+  std::vector<const char*> positional;
 
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
-    if (arg == "--threshold" && a + 1 < argc) {
+    if (arg == "--merge" && a + 1 < argc) {
+      merge_path = argv[++a];
+    } else if (arg == "--threshold" && a + 1 < argc) {
       char* end = nullptr;
       threshold_pct = std::strtod(argv[++a], &end);
       if (end == argv[a] || *end != '\0' || threshold_pct < 0) {
@@ -220,17 +310,17 @@ int main(int argc, char** argv) {
       key = argv[++a];
     } else if (arg == "--allow-missing") {
       allow_missing = true;
-    } else if (baseline_path == nullptr) {
-      baseline_path = argv[a];
-    } else if (current_path == nullptr) {
-      current_path = argv[a];
     } else {
-      return usage(argv[0]);
+      positional.push_back(argv[a]);
     }
   }
-  if (baseline_path == nullptr || current_path == nullptr) {
-    return usage(argv[0]);
+  if (merge_path != nullptr) {
+    if (positional.size() < 2) return usage(argv[0]);
+    return merge(merge_path, positional);
   }
+  if (positional.size() != 2) return usage(argv[0]);
+  const char* baseline_path = positional[0];
+  const char* current_path = positional[1];
 
   std::string error;
   const auto baseline = load(baseline_path, &error);
