@@ -39,7 +39,7 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
   // structure is the paper's publication discipline verbatim: tally into
   // your own blocks, barrier, reduce everyone's blocks.
   std::vector<std::uint32_t> partial(static_cast<std::size_t>(nt) * k, 0);
-  // An exception must not leave the parallel region: each thread parks
+  // An exception must not leave the parallel region: each slice parks
   // its tally's contract_error here and the host rethrows after the join.
   std::vector<std::exception_ptr> failed(nt);
 

@@ -1,7 +1,8 @@
 // Test images whose row runs sit where a run-based labeler can go wrong:
 // at a tile's first and last column, on and across 64-pixel mask words,
 // and packed as densely as runs get.  Shared by test_cc_seq.cpp (one
-// tile at a time) and test_cc_parallel.cpp (whole images on the VM).
+// tile at a time), test_cc_parallel.cpp (whole images on the VM) and
+// test_omp.cpp (whole images cut into OpenMP row strips).
 #ifndef HISTCC_TESTS_RUN_IMAGES_HPP
 #define HISTCC_TESTS_RUN_IMAGES_HPP
 

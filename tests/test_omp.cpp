@@ -349,7 +349,7 @@ TEST(OmpCcSeams, DifferentColoursDoNotLinkUnderTheSameColourRule) {
 }
 
 TEST(OmpCcSeams, MoreThreadsThanRows) {
-  // Teams at and past the row count get one-row strips.
+  // Most of kSeamThreads reach or pass these row counts: one-row strips.
   for (const std::uint32_t rows : {1u, 2u, 3u, 5u}) {
     const auto image = im::make_random_grey(rows, 3, rows);  // rows x rows
     for (const std::uint32_t cols : {1u, 9u, 70u}) {
@@ -359,21 +359,11 @@ TEST(OmpCcSeams, MoreThreadsThanRows) {
           wide(i, j) = image(i, j % rows);
         }
       }
-      const std::string what =
-          std::to_string(rows) + "x" + std::to_string(cols);
-      expect_matches_oracles(wide, what);
-      for (const unsigned threads : {rows, rows + 1, 64u}) {
-        EXPECT_EQ(ho::connected_components_omp(wide, cs::Connectivity::kEight,
-                                               cs::ColourRule::kSameColour,
-                                               threads),
-                  cs::label_components_bfs(wide, cs::Connectivity::kEight,
-                                           cs::ColourRule::kSameColour))
-            << what << " threads=" << threads;
-      }
+      expect_matches_oracles(wide,
+                             std::to_string(rows) + "x" + std::to_string(cols));
     }
   }
 }
-
 
 // ---------------------------------------------------------------------------
 // Barrier-epoch checking of the OpenMP mirror (epoch_check.hpp).
